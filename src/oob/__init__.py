@@ -7,7 +7,6 @@ verification harnesses with a CLI (:mod:`oob.analysis`, :mod:`oob.cli`).
 """
 
 from .analysis import (
-    NearOptimalCount,
     VerificationReport,
     Z95,
     baseline_separation,
@@ -16,7 +15,6 @@ from .analysis import (
     conditional_max_samples,
     event_c_check,
     lemma3_mc,
-    near_optimal_count,
     pac_estimate,
     uniform_grid_baseline,
     wilson_ci,
@@ -31,13 +29,11 @@ from .brownian import (
 )
 from .optimizer import (
     MAX_DEPTH,
-    DyadicInterval,
     RunResult,
     compute_h_max,
     eta,
     run_oob,
     run_oob_on_path,
-    ucb,
 )
 from .rng import MASK64, RandomSource, derive_seed, splitmix64
 
@@ -45,10 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrownianPath",
-    "DyadicInterval",
     "MASK64",
     "MAX_DEPTH",
-    "NearOptimalCount",
     "RandomSource",
     "RunResult",
     "VerificationReport",
@@ -67,13 +61,11 @@ __all__ = [
     "eta",
     "event_c_check",
     "lemma3_mc",
-    "near_optimal_count",
     "new_path",
     "pac_estimate",
     "run_oob",
     "run_oob_on_path",
     "splitmix64",
-    "ucb",
     "uniform_grid_baseline",
     "wilson_ci",
 ]

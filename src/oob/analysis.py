@@ -27,7 +27,6 @@ from .optimizer import eta, run_oob, run_oob_on_path, RunResult
 from .rng import RandomSource, derive_seed
 
 __all__ = [
-    "NearOptimalCount",
     "VerificationReport",
     "Z95",
     "baseline_separation",
@@ -36,7 +35,6 @@ __all__ = [
     "conditional_max_samples",
     "event_c_check",
     "lemma3_mc",
-    "near_optimal_count",
     "pac_estimate",
     "uniform_grid_baseline",
     "wilson_ci",
@@ -99,19 +97,6 @@ class VerificationReport:
             "passed": self.passed,
             "metadata": self.metadata,
         }
-
-
-@dataclass(frozen=True)
-class NearOptimalCount:
-    """How many depth-h grid points come within eta of a maximum reference."""
-
-    h: int
-    eta: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.count <= (1 << self.h) + 1:
-            raise ValueError(f"count {self.count} outside [0, 2**{self.h} + 1]")
 
 
 def _evaluation_arrays(
@@ -209,26 +194,6 @@ def pac_estimate(
             "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
         },
     )
-
-
-def near_optimal_count(
-    grid_values: list[float], m_ref: float, eta: float
-) -> NearOptimalCount:
-    """Count grid values within eta of the maximum reference m_ref.
-
-    ``grid_values`` must hold W at the 2**h + 1 points of a depth-h dyadic
-    grid, in order; h is inferred from the length. Counts entries with
-    value >= m_ref - eta.
-    """
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    n = len(grid_values)
-    h = (n - 1).bit_length() - 1
-    if n < 2 or (1 << h) != n - 1:
-        raise ValueError(f"grid length must be 2**h + 1 for some h >= 0, got {n}")
-    values = np.asarray(grid_values, dtype=float)
-    count = int(np.count_nonzero(values >= m_ref - eta))
-    return NearOptimalCount(h=h, eta=eta, count=count)
 
 
 def _dyadic_grid_walk(rng: RandomSource, depth: int) -> np.ndarray:

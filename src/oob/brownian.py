@@ -48,13 +48,12 @@ class BrownianPath:
     sampling over the final evaluation set).
     """
 
-    __slots__ = ("rng", "_times", "_values", "_known")
+    __slots__ = ("rng", "_times", "_values")
 
     def __init__(self, rng: RandomSource) -> None:
         self.rng = rng
         self._times: list[float] = [0.0]
         self._values: list[float] = [0.0]
-        self._known: dict[float, float] = {0.0: 0.0}
 
     def __repr__(self) -> str:
         return f"BrownianPath(seed={self.seed}, value_count={self.value_count})"
@@ -85,23 +84,22 @@ class BrownianPath:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        stored = self._known.get(t)
-        if stored is not None:
-            return stored
-        i = bisect_left(self._times, t)
-        if i == len(self._times):
-            s = self._times[-1]
-            mean = self._values[-1]
+        times, values = self._times, self._values
+        i = bisect_left(times, t)
+        if i == len(times):
+            s = times[-1]
+            mean = values[-1]
             var = t - s
+        elif times[i] == t:
+            return values[i]
         else:
-            a, b = self._times[i - 1], self._times[i]
-            wa, wb = self._values[i - 1], self._values[i]
+            a, b = times[i - 1], times[i]
+            wa, wb = values[i - 1], values[i]
             mean = wa + (t - a) / (b - a) * (wb - wa)
             var = (t - a) * (b - t) / (b - a)
         w = mean + math.sqrt(var) * self.rng.normal()
-        self._times.insert(i, t)
-        self._values.insert(i, w)
-        self._known[t] = w
+        times.insert(i, t)
+        values.insert(i, w)
         return w
 
 

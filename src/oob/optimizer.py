@@ -25,13 +25,11 @@ from .brownian import BrownianPath, new_path
 
 __all__ = [
     "MAX_DEPTH",
-    "DyadicInterval",
     "RunResult",
     "compute_h_max",
     "eta",
     "run_oob",
     "run_oob_on_path",
-    "ucb",
 ]
 
 # Dyadic times k * 2**-h are exact doubles far beyond this depth; the cap
@@ -54,11 +52,6 @@ def eta(epsilon: float, delta: float) -> float:
     return math.sqrt(2.5 * delta * math.log(2.0 / prod))
 
 
-def ucb(wa: float, wb: float, epsilon: float, h: int) -> float:
-    """Optimistic bound for a depth-h dyadic interval with endpoint values wa, wb."""
-    return max(wa, wb) + eta(epsilon, 2.0 ** -h)
-
-
 def compute_h_max(epsilon: float) -> int:
     """Smallest depth h with eta(epsilon, 2**-h) <= epsilon.
 
@@ -72,44 +65,6 @@ def compute_h_max(epsilon: float) -> int:
         if eta(epsilon, 2.0 ** -h) <= epsilon:
             return h
     raise RuntimeError(f"no depth h <= {MAX_DEPTH} has eta(epsilon, 2**-h) <= epsilon")
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Interval [k/2**h, (k+1)/2**h] with endpoint values and cached bound.
-
-    ``eta_value`` is the run's confidence width at this depth and
-    ``b_value = max(wa, wb) + eta_value``. Both are fixed at construction;
-    the optimizer never updates an interval in place, it only replaces an
-    interval by its two children.
-    """
-
-    h: int
-    k: int
-    wa: float
-    wb: float
-    eta_value: float
-    b_value: float
-
-    def __post_init__(self) -> None:
-        if self.h < 0 or not 0 <= self.k < (1 << self.h):
-            raise ValueError(f"invalid dyadic index (h={self.h}, k={self.k})")
-
-    @classmethod
-    def build(cls, h: int, k: int, wa: float, wb: float, width: float) -> "DyadicInterval":
-        return cls(h=h, k=k, wa=wa, wb=wb, eta_value=width, b_value=max(wa, wb) + width)
-
-    @property
-    def a(self) -> float:
-        return math.ldexp(self.k, -self.h)
-
-    @property
-    def b(self) -> float:
-        return math.ldexp(self.k + 1, -self.h)
-
-    @property
-    def midpoint(self) -> float:
-        return math.ldexp(2 * self.k + 1, -(self.h + 1))
 
 
 @dataclass(frozen=True)
@@ -157,55 +112,44 @@ def run_oob_on_path(
     lookups; the conditional law of everything drawn afterwards is
     unchanged.
 
-    Selection uses a max-heap on b_value with ties broken toward smaller
-    depth, then smaller index, making the whole trajectory deterministic.
-    The loop stops when the selected (highest-b) interval has
-    eta_value <= epsilon; other intervals are not consulted for stopping.
-    With ``debug_checks`` every iteration re-verifies the selection against
-    a full scan and checks that the interval set partitions [0, 1].
+    The active intervals live in a heap of plain tuples (-B, h, k, wa, wb):
+    the interval [k/2**h, (k+1)/2**h] with endpoint values wa, wb and
+    bound B = max(wa, wb) + widths[h], where widths[h] = eta(epsilon, 2**-h)
+    is computed once per run for every depth up to h_max. heapq pops the
+    smallest tuple, i.e. the highest bound, ties broken toward smaller
+    depth, then smaller index; (h, k) is unique, so wa and wb never decide
+    and the whole trajectory is deterministic. The loop stops when the
+    selected interval has widths[h] <= epsilon; other intervals are not
+    consulted for stopping, and no interval deeper than h_max is ever
+    selected. With ``debug_checks`` every iteration re-verifies the
+    selection and the cached bounds against a full scan and checks that
+    the intervals partition [0, 1].
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
     h_max = compute_h_max(epsilon)
+    widths = [eta(epsilon, 2.0 ** -h) for h in range(h_max + 1)]
     cap = 1 << (h_max + 1)
 
-    trace: list[tuple[float, float]] = []
-
-    def query(t: float) -> float:
-        w = path.evaluate(t)
-        trace.append((t, w))
-        return w
-
     w0 = path.evaluate(0.0)  # stored at construction, never a draw
-    w1 = query(1.0)
-
-    eta_at: dict[int, float] = {0: eta(epsilon, 1.0)}
-    root = DyadicInterval.build(0, 0, w0, w1, eta_at[0])
-    # Heap entries (-b_value, h, k, interval): heapq pops the smallest
-    # tuple, i.e. highest bound, then smallest depth, then smallest index.
-    # (h, k) is unique, so the interval itself is never compared.
-    heap: list[tuple[float, int, int, DyadicInterval]] = [
-        (-root.b_value, root.h, root.k, root)
-    ]
+    w1 = path.evaluate(1.0)
+    trace = [(1.0, w1)]
+    heap = [(-(max(w0, w1) + widths[0]), 0, 0, w0, w1)]
 
     while True:
         if debug_checks:
-            _check_state(heap)
-        top = heap[0][3]
-        if top.eta_value <= epsilon:
+            _check_state(heap, widths)
+        _, h, k, wa, wb = heap[0]
+        if widths[h] <= epsilon:
             break
-        heapq.heappop(heap)
-        if top.h >= MAX_DEPTH:
-            raise RuntimeError(f"split would exceed depth cap {MAX_DEPTH}")
-        child_h = top.h + 1
-        width = eta_at.get(child_h)
-        if width is None:
-            width = eta_at[child_h] = eta(epsilon, 2.0 ** -child_h)
-        wm = query(top.midpoint)
-        left = DyadicInterval.build(child_h, 2 * top.k, top.wa, wm, width)
-        right = DyadicInterval.build(child_h, 2 * top.k + 1, wm, top.wb, width)
-        heapq.heappush(heap, (-left.b_value, left.h, left.k, left))
-        heapq.heappush(heap, (-right.b_value, right.h, right.k, right))
+        h += 1
+        k *= 2
+        t = math.ldexp(k + 1, -h)  # midpoint of the selected interval
+        wm = path.evaluate(t)
+        trace.append((t, wm))
+        width = widths[h]
+        heapq.heapreplace(heap, (-(max(wa, wm) + width), h, k, wa, wm))
+        heapq.heappush(heap, (-(max(wm, wb) + width), h, k + 1, wm, wb))
         if len(trace) > cap:
             raise RuntimeError(
                 f"evaluation count exceeded the termination cap {cap}; "
@@ -227,17 +171,21 @@ def run_oob_on_path(
     )
 
 
-def _check_state(heap: list[tuple[float, int, int, DyadicInterval]]) -> None:
-    """Debug scan: heap front is the true argmax and the set tiles [0, 1]."""
+def _check_state(
+    heap: list[tuple[float, int, int, float, float]], widths: list[float]
+) -> None:
+    """Debug scan: heap front is the true argmax, every cached bound matches
+    its endpoints, and the intervals tile [0, 1]."""
     front = min(entry[:3] for entry in heap)
     if heap[0][:3] != front:
         raise AssertionError(f"heap front {heap[0][:3]} is not the selection {front}")
-    total = sum(Fraction(1, 1 << entry[3].h) for entry in heap)
-    if total != 1:
-        raise AssertionError(f"interval set covers {total}, expected 1")
-    starts = sorted((entry[3].h, entry[3].k) for entry in heap)
+    for neg_b, h, k, wa, wb in heap:
+        if -neg_b != max(wa, wb) + widths[h]:
+            raise AssertionError(f"stale bound at interval (h={h}, k={k})")
     seen = Fraction(0)
-    for h, k in sorted(starts, key=lambda hk: Fraction(hk[1], 1 << hk[0])):
-        if Fraction(k, 1 << h) != seen:
+    for start, h, k in sorted((Fraction(k, 1 << h), h, k) for _, h, k, _, _ in heap):
+        if start != seen:
             raise AssertionError(f"gap or overlap at interval (h={h}, k={k})")
         seen += Fraction(1, 1 << h)
+    if seen != 1:
+        raise AssertionError(f"interval set covers {seen}, expected 1")

@@ -16,7 +16,6 @@ from oob import (
     derive_seed,
     event_c_check,
     lemma3_mc,
-    near_optimal_count,
     pac_estimate,
     uniform_grid_baseline,
     wilson_ci,
@@ -99,26 +98,6 @@ class TestConditionalMax:
                 total += m - sub.max()
             means[h] = total / trials
         assert means[4] > means[8] > means[12]
-
-
-class TestNearOptimalCount:
-    def test_frozen_cases(self):
-        result = near_optimal_count([0.0, 0.5], 0.8, 0.4)
-        assert (result.h, result.count) == (0, 1)  # only 0.5 >= 0.4
-        spread = [0.0, -0.3, 0.2, 0.1, -0.1]
-        assert near_optimal_count(spread, 0.2, 0.6).count == 5  # eta covers min
-        assert near_optimal_count(spread, 0.5, 0.0).count == 0  # above max
-
-    def test_boundary_is_inclusive(self):
-        assert near_optimal_count([0.0, 1.0, 0.4], 1.0, 0.6).count == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            near_optimal_count([0.0, 0.1, 0.2, 0.3], 0.0, 0.1)  # length 4
-        with pytest.raises(ValueError):
-            near_optimal_count([0.0], 0.0, 0.1)
-        with pytest.raises(ValueError):
-            near_optimal_count([0.0, 0.5], 0.0, -0.1)
 
 
 class TestPacEstimate:

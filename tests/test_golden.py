@@ -1,0 +1,59 @@
+"""Golden output hashes: the bytes every pinned command writes.
+
+Each case runs in-process and hashes exactly what it writes. A change that
+keeps these digests leaves the random stream and every output byte of the
+pinned commands untouched; a change that alters the stream on purpose must
+re-pin them and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from oob import baseline_separation
+from oob.cli import main
+
+CLI_GOLDEN = [
+    pytest.param(
+        ["run", "--epsilon", "0.01", "--seed", "7"],
+        "ae865d693a86fb0d9427328b59a3a09f0b8f1affaf405a30000889823cb44b11",
+        id="run",
+    ),
+    pytest.param(
+        ["sweep", "--epsilons", "0.1,0.01,0.001", "--trials", "5", "--seed", "3"],
+        "085754969f33efa66145170e21db1bf715369fa06bb28f8a1592467b34ba2a8d",
+        id="sweep-csv",
+    ),
+    pytest.param(
+        ["verify", "pac", "--epsilon", "0.1", "--trials", "20", "--draws", "10", "--seed", "1"],
+        "c00829dd1d3ddbc7abf7cc5ee2e5bf2bb4ee88b35b36a82bbc4efadb59a1e812",
+        id="verify-pac",
+    ),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", CLI_GOLDEN)
+def test_cli_output_bytes(argv, digest, tmp_path):
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert _sha256(target.read_bytes()) == digest
+
+
+def test_baseline_separation_json(tmp_path):
+    # Grids up to 4096 points grow the path at its frontier, so this pins
+    # the beyond-the-last-point branch of BrownianPath.evaluate as well.
+    report = baseline_separation(
+        grid_sizes=(16, 64, 256, 1024, 4096), trials=3, oob_runs=5, seed=5
+    )
+    target = tmp_path / "baseline.json"
+    target.write_text(json.dumps(report.to_json_dict(), sort_keys=True))
+    assert _sha256(target.read_bytes()) == (
+        "8bb1afca8796533fda281c2de4fbadd3177d683cb1d2987a19d48e2e8c8e5e7e"
+    )

@@ -9,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oob import (
-    DyadicInterval,
-    compute_h_max,
-    eta,
-    new_path,
-    run_oob,
-    run_oob_on_path,
-    ucb,
-)
+from oob import RandomSource, compute_h_max, eta, new_path, run_oob, run_oob_on_path
+from oob.optimizer import _check_state
 
 
 class TestEta:
@@ -39,17 +32,6 @@ class TestEta:
             eta(0.1, 0.0)
         with pytest.raises(ValueError):
             eta(0.1, -1.0)
-
-
-class TestUcb:
-    def test_frozen_values(self):
-        # 0.3 + sqrt(1.25 * ln 16)
-        assert ucb(0.3, -0.1, 0.25, 1) == pytest.approx(2.161648705529517, rel=1e-15)
-        assert ucb(0.0, 0.0, 0.5, 0) == eta(0.5, 1.0)
-
-    def test_dominates_endpoints(self):
-        assert ucb(5.0, -5.0, 0.25, 3) > 5.0
-        assert ucb(-1.0, -2.0, 0.1, 5) > -1.0
 
 
 class TestHMax:
@@ -87,40 +69,25 @@ class TestHMax:
             compute_h_max(1e-9)
 
 
-class TestDyadicInterval:
-    def test_build_and_geometry(self):
-        width = eta(0.25, 2.0**-2)
-        cell = DyadicInterval.build(2, 3, 0.1, -0.2, width)
-        assert cell.a == 0.75
-        assert cell.b == 1.0
-        assert cell.midpoint == 0.875
-        assert cell.eta_value == width
-        assert cell.b_value == 0.1 + width
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            DyadicInterval.build(2, 4, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            DyadicInterval.build(-1, 0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            DyadicInterval.build(3, -1, 0.0, 0.0, 1.0)
-
-
 def _replay_partition(result):
     """Rebuild the split sequence from the trace and re-check selection.
 
-    Returns the final partition as {(h, k): interval}. Raises if any split
-    was not the deterministic argmax of the bound at its time, or if the
-    active set ever stops tiling [0, 1].
+    Independent of the optimizer's own bookkeeping: every interval is a
+    plain (bound, width) pair keyed by its dyadic index (h, k), recomputed
+    from the traced values. Returns the final partition as
+    {(h, k): (bound, width)}. Raises if any split was not the
+    deterministic argmax of the bound at its time, or if the active set
+    ever stops tiling [0, 1].
     """
     values = dict(result.trace)
     values[0.0] = 0.0
     epsilon = result.epsilon
 
     def make(h, k):
-        a = math.ldexp(k, -h)
-        b = math.ldexp(k + 1, -h)
-        return DyadicInterval.build(h, k, values[a], values[b], eta(epsilon, 2.0**-h))
+        width = eta(epsilon, 2.0**-h)
+        wa = values[math.ldexp(k, -h)]
+        wb = values[math.ldexp(k + 1, -h)]
+        return max(wa, wb) + width, width
 
     active = {(0, 0): make(0, 0)}
     for t, _ in result.trace[1:]:
@@ -128,11 +95,10 @@ def _replay_partition(result):
         depth = denom.bit_length() - 1  # t = num / 2**depth with num odd
         parent = (depth - 1, (num - 1) // 2)
         assert parent in active, f"split of inactive interval {parent}"
-        chosen = active[parent]
-        best_key = min((-cell.b_value, hh, kk) for (hh, kk), cell in active.items())
-        assert (-chosen.b_value, parent[0], parent[1]) == best_key
-        assert chosen.eta_value > epsilon  # split intervals are still wide
-        del active[parent]
+        best_key = min((-bound, h, k) for (h, k), (bound, _) in active.items())
+        bound, width = active.pop(parent)
+        assert (-bound, *parent) == best_key
+        assert width > epsilon  # split intervals are still wide
         for child_k in (2 * parent[1], 2 * parent[1] + 1):
             active[(depth, child_k)] = make(depth, child_k)
         covered = sum(Fraction(1, 1 << h) for h, _ in active)
@@ -189,19 +155,52 @@ class TestRunLoop:
         # the loop must stop on a selected interval that is narrow enough.
         result = run_oob(epsilon, seed)
         final = _replay_partition(result)
-        best = min((-cell.b_value, h, k) for (h, k), cell in final.items())
-        selected = final[best[1], best[2]]
-        assert selected.eta_value <= epsilon
+        best = min((-bound, h, k) for (h, k), (bound, _) in final.items())
+        selected_bound, selected_width = final[best[1], best[2]]
+        assert selected_width <= epsilon
         # Stopping consults the selected interval only: wide intervals may
         # survive, they just cannot carry the highest bound.
-        survivors = [cell for cell in final.values() if cell.eta_value > epsilon]
-        assert all(cell.b_value <= selected.b_value for cell in survivors)
-        assert any(cell.h < result.h_max for cell in final.values())
+        survivors = [bound for bound, width in final.values() if width > epsilon]
+        assert all(bound <= selected_bound for bound in survivors)
+        assert any(h < result.h_max for h, _ in final)
 
-    def test_debug_checks_agree(self):
-        plain = run_oob(0.2, 5)
-        checked = run_oob(0.2, 5, debug_checks=True)
+    @pytest.mark.parametrize("epsilon,seed", [(0.2, 5), (0.05, 3), (0.01, 8)])
+    def test_debug_checks_agree(self, epsilon, seed):
+        plain = run_oob(epsilon, seed)
+        checked = run_oob(epsilon, seed, debug_checks=True)
         assert plain == checked
+
+    def test_check_state_rejects_corrupt_heaps(self):
+        widths = [eta(0.1, 2.0**-h) for h in range(3)]
+
+        def entry(h, k, wa, wb):
+            return (-(max(wa, wb) + widths[h]), h, k, wa, wb)
+
+        halves = [entry(1, 0, 0.0, 0.5), entry(1, 1, 0.5, -0.2)]
+        _check_state(sorted(halves), widths)
+        with pytest.raises(AssertionError, match="selection"):
+            _check_state(sorted(halves)[::-1], widths)
+        with pytest.raises(AssertionError, match="stale bound"):
+            _check_state([(halves[0][0] - 1.0, *halves[0][1:])], widths)
+        with pytest.raises(AssertionError, match="gap or overlap"):
+            _check_state([halves[0], entry(2, 3, 0.1, -0.2)], widths)
+        with pytest.raises(AssertionError, match="covers"):
+            _check_state([halves[0]], widths)
+
+    def test_prepopulated_path_answers_by_lookup(self):
+        # A path that already holds every point of the run answers each
+        # query from storage: the same result, no new point, no draw.
+        expected = run_oob(0.05, 21)
+        path = new_path(21)
+        for t, _ in expected.trace:
+            path.evaluate(t)
+        count = path.value_count
+        assert run_oob_on_path(0.05, path) == expected
+        assert path.value_count == count
+        twin = RandomSource(21)
+        for _ in range(expected.n_evals):
+            twin.normal()
+        assert path.rng.normal() == twin.normal()
 
     def test_optimism_steers_splits(self):
         # Seed 3 draws W(1) = +2.04: early midpoints chase the right edge.
