@@ -237,8 +237,8 @@ def lemma3_mc(
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if oracle_depth < h:
@@ -340,32 +340,36 @@ def event_c_check(
     )
 
 
+def _uniform_grid(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times k/n and values W(k/n) for k = 0..n; see :func:`uniform_grid_baseline`."""
+    t = np.arange(n + 1) / n
+    w = np.zeros(n + 1)
+    np.cumsum(np.sqrt(np.diff(t)) * RandomSource(seed).normals(n), out=w[1:])
+    return t, w
+
+
 def uniform_grid_baseline(n: int, seed: int) -> RunResult:
     """Non-adaptive reference: evaluate W at k/n for k = 1..n and take the best.
 
-    Returns a :class:`RunResult` with ``n_evals = n`` and the argmax over
-    the n evaluations plus the free candidate t = 0. The fields that only
-    make sense for the optimizer carry sentinels: ``epsilon = nan`` and
-    ``h_max = -1``.
+    Draws the n Gaussians in one batch and scales each by
+    sqrt(t_k - t_{k-1}) before an in-order sum, as
+    :meth:`BrownianPath.evaluate` does past its last point, so the values
+    are bit-equal to ``new_path(seed)`` walked at k/n. Returns a
+    :class:`RunResult` with ``n_evals = n`` and the first argmax over the
+    n evaluations plus the free candidate t = 0; ``epsilon = nan`` and
+    ``h_max = -1`` are sentinels for the optimizer-only fields.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    path = new_path(seed)
-    trace = []
-    t_hat, m_hat = 0.0, 0.0
-    for k in range(1, n + 1):
-        t = k / n
-        w = path.evaluate(t)
-        trace.append((t, w))
-        if w > m_hat:
-            t_hat, m_hat = t, w
+    t, w = _uniform_grid(n, seed)
+    k = int(np.argmax(w))
     return RunResult(
         epsilon=math.nan,
-        t_hat=t_hat,
-        m_hat=m_hat,
+        t_hat=float(t[k]),
+        m_hat=float(w[k]),
         n_evals=n,
         h_max=-1,
-        trace=tuple(trace),
+        trace=tuple(zip(t[1:].tolist(), w[1:].tolist())),
         seed=seed,
     )
 
@@ -382,13 +386,16 @@ def baseline_separation(
 
     For each grid size, the median conditional error M - m_hat is measured
     over ``trials`` fresh paths (M drawn by the conditional oracle over the
-    grid evaluations). For each target epsilon, in decreasing order, the
-    smallest grid size whose median error is <= epsilon is divided by the
-    optimizer's mean evaluation count at that epsilon. The suite passes
-    when every target is reachable, the cost ratio strictly grows as
-    epsilon shrinks, and the ratio at the smallest epsilon is at least
-    ``min_factor``. One violation is counted per epsilon level that breaks
-    its part of that contract.
+    grid evaluations). Each grid is the one-batch walk of
+    :func:`uniform_grid_baseline`, bit-equal to a walked path; its oracle
+    draws one ``uniforms_open(n)``, the same variates in the same order as
+    the scalar :func:`conditional_max_sample`. For each target epsilon, in
+    decreasing order, the smallest grid size whose median error is <=
+    epsilon is divided by the optimizer's mean evaluation count at that
+    epsilon. The suite passes when every target is reachable, the cost
+    ratio strictly grows as epsilon shrinks, and the ratio at the smallest
+    epsilon is at least ``min_factor``. One violation is counted per
+    epsilon level that breaks its part of that contract.
     """
     if len(epsilons) < 1 or any(not 0.0 < e < 0.5 for e in epsilons):
         raise ValueError("epsilons must be non-empty with each in (0, 1/2)")
@@ -405,11 +412,11 @@ def baseline_separation(
         errors = []
         for j in range(trials):
             trial_seed = derive_seed(level_seed, j)
-            result = uniform_grid_baseline(n, trial_seed)
-            evaluations = [(0.0, 0.0)] + list(result.trace)
+            t, w = _uniform_grid(n, trial_seed)
             oracle = RandomSource(derive_seed(trial_seed, _ORACLE_TAG))
-            m = conditional_max_sample(evaluations, oracle)
-            errors.append(m - result.m_hat)
+            u = oracle.uniforms_open(n)
+            m = float(bridge_max_from_uniforms(u, np.diff(t), w[:-1], w[1:]).max())
+            errors.append(m - float(w.max()))
         medians[n] = median(errors)
 
     ratios: list[float | None] = []

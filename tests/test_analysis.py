@@ -16,10 +16,12 @@ from oob import (
     derive_seed,
     event_c_check,
     lemma3_mc,
+    new_path,
     pac_estimate,
     uniform_grid_baseline,
     wilson_ci,
 )
+from oob.analysis import _ORACLE_TAG
 
 
 class TestWilson:
@@ -166,6 +168,10 @@ class TestLemma3:
             lemma3_mc(2, -0.1, trials=1, oracle_depth=4, seed=0)
         with pytest.raises(ValueError):
             lemma3_mc(2, 0.1, trials=0, oracle_depth=4, seed=0)
+        # nan would compare false everywhere and inf would pass vacuously.
+        for eta_value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta"):
+                lemma3_mc(2, eta_value, trials=5, oracle_depth=4, seed=0)
 
 
 class TestEventC:
@@ -215,6 +221,38 @@ class TestBaseline:
 
     def test_deterministic(self):
         assert uniform_grid_baseline(16, 77) == uniform_grid_baseline(16, 77)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 16, 1000])
+    def test_batched_walk_matches_lazy_path(self, n):
+        # Bit-equal, no tolerance, to a path walked at k/n: every point lies
+        # beyond the last stored one, so this pins that branch of evaluate.
+        for seed in (0, 1, 2, 77, 2**63 + 5, 2**64 - 1):
+            path = new_path(seed)
+            walk = [(k / n, path.evaluate(k / n)) for k in range(1, n + 1)]
+            t_hat, m_hat = 0.0, 0.0
+            for t, w in walk:
+                if w > m_hat:
+                    t_hat, m_hat = t, w
+            result = uniform_grid_baseline(n, seed)
+            assert result.trace == tuple(walk)
+            assert (result.t_hat, result.m_hat) == (t_hat, m_hat)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_oracle_matches_scalar_reference(self, seed):
+        # The scalar oracle over the grid is the exact reference of the
+        # suite's batched one; numpy's log may differ from math.log by 1 ulp.
+        grid_sizes = (16, 64, 256)
+        report = baseline_separation(
+            grid_sizes=grid_sizes, trials=1, oob_runs=1, seed=seed
+        )
+        for i, n in enumerate(grid_sizes):
+            trial_seed = derive_seed(derive_seed(seed, i), 0)
+            result = uniform_grid_baseline(n, trial_seed)
+            oracle = RandomSource(derive_seed(trial_seed, _ORACLE_TAG))
+            m = conditional_max_sample([(0.0, 0.0), *result.trace], oracle)
+            ref = m - result.m_hat
+            got = report.metadata["median_errors"][str(n)]
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_validation(self):
         with pytest.raises(ValueError):

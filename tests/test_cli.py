@@ -158,6 +158,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["metadata"]["oracle_depth"] == 9
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_lemma3_non_finite_eta_exits_2(self, eta, tmp_path, capsys):
+        target = tmp_path / "lemma3.json"
+        code, _, err = run_cli(
+            ["verify", "lemma3", "--eta", eta, "--trials", "5", "--out", str(target)],
+            capsys,
+        )
+        assert code == 2
+        assert "eta" in err
+        assert not target.exists()
+
     def test_eventc_allows_epsilon_half(self, capsys):
         code, out, _ = run_cli(
             ["verify", "eventc", "--epsilon", "0.5", "--depth", "5",

@@ -47,8 +47,9 @@ def test_cli_output_bytes(argv, digest, tmp_path):
 
 
 def test_baseline_separation_json(tmp_path):
-    # Grids up to 4096 points grow the path at its frontier, so this pins
-    # the beyond-the-last-point branch of BrownianPath.evaluate as well.
+    # The grids come from a batched walk, not from BrownianPath.evaluate;
+    # test_analysis.py::TestBaseline::test_batched_walk_matches_lazy_path
+    # pins that walk to the beyond-the-last-point branch of evaluate.
     report = baseline_separation(
         grid_sizes=(16, 64, 256, 1024, 4096), trials=3, oob_runs=5, seed=5
     )
