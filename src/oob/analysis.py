@@ -17,6 +17,7 @@ safe to parallelize (counts reduce by summing).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -196,40 +197,55 @@ def pac_estimate(
     )
 
 
-def _dyadic_grid_walk(rng: RandomSource, depth: int) -> np.ndarray:
-    """W on the depth-`depth` dyadic grid by sequential increments.
+# Trials per block of :func:`_grid_blocks` are chosen so that one block
+# holds about this many grid cells, which bounds the working set at any
+# trial count.
+_BLOCK_CELLS = 1 << 15
 
-    Consumes 2**depth Gaussians; returns the 2**depth + 1 grid values.
+
+def _grid_blocks(
+    seed: int, trials: int, depth: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """W on the depth-``depth`` dyadic grid plus one exact sup draw per cell.
+
+    Yields ``(w, sups)`` for consecutive blocks of trials, in trial order.
+    Row i of a block is trial j: its own ``RandomSource(derive_seed(seed,
+    j))`` draws ``normals(2**depth)`` and then ``uniforms_open(2**depth)``.
+    ``w`` has shape ``(rows, 2**depth + 1)`` with ``w[:, 0] = 0`` and the
+    in-order sums of the Gaussians scaled by ``sqrt(2**-depth)`` after the
+    sum; ``sups`` has shape ``(rows, 2**depth)``, cell k's sup drawn from
+    the bridge pinned at ``w[:, k]`` and ``w[:, k + 1]``. A block has
+    ``max(1, _BLOCK_CELLS >> depth)`` rows, the last one fewer.
     """
     n = 1 << depth
-    z = rng.normals(n)
-    w = np.empty(n + 1)
-    w[0] = 0.0
-    np.cumsum(z, out=w[1:])
-    w[1:] *= math.sqrt(math.ldexp(1.0, -depth))
-    return w
+    length = math.ldexp(1.0, -depth)
+    block = max(1, _BLOCK_CELLS >> depth)
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        z = np.empty((rows, n))
+        u = np.empty((rows, n))
+        for i in range(rows):
+            rng = RandomSource(derive_seed(seed, start + i))
+            z[i] = rng.normals(n)
+            u[i] = rng.uniforms_open(n)
+        w = np.zeros((rows, n + 1))
+        np.cumsum(z, axis=1, out=w[:, 1:])
+        w[:, 1:] *= math.sqrt(length)
+        yield w, bridge_max_from_uniforms(u, length, w[:, :-1], w[:, 1:])
 
 
-def _cell_max_samples(rng: RandomSource, w: np.ndarray, depth: int) -> np.ndarray:
-    """One exact sup draw per cell of the depth-`depth` grid holding w.
-
-    Consumes 2**depth uniforms, left to right.
-    """
-    u = rng.uniforms_open(w.size - 1)
-    return bridge_max_from_uniforms(u, math.ldexp(1.0, -depth), w[:-1], w[1:])
-
-
-def lemma3_mc(
-    h: int, eta: float, trials: int, oracle_depth: int, seed: int
-) -> VerificationReport:
+def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     """Check that E[near-optimal count at depth h] <= 6 * eta**2 * 2**h.
 
-    Per trial: walk W on the depth-``oracle_depth`` grid, form the maximum
-    reference as the max over per-cell exact sup draws (jointly with the
-    grid this has exactly the law of the true global maximum, and it never
-    falls below the fine-grid max), and count depth-h grid points within
-    eta of it. Passes when mean count + 3 standard errors <= the bound;
-    this is a one-sided bound check, so only overshoot fails it.
+    Per trial: walk W on the depth-h grid, draw one exact sup per cell
+    (normals, then uniforms, from the trial's own stream; see
+    :func:`_grid_blocks`), take the maximum reference M as the max of those
+    draws, and count grid points within eta of M. Given the grid, the
+    cells are independent bridges, so the max of one exact draw per cell
+    has exactly the conditional law of the global maximum: (grid, M) has
+    its exact joint law and a finer walk would change nothing but the
+    cost. Passes when mean count + 3 standard errors <= the bound; this is
+    a one-sided bound check, so only overshoot fails it.
 
     In the report, ``violations`` is the summed count over trials, making
     ``empirical_rate`` the mean count per trial; ``wilson_upper_95`` is
@@ -241,16 +257,18 @@ def lemma3_mc(
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if oracle_depth < h:
-        raise ValueError(f"oracle_depth must be >= h, got {oracle_depth} < {h}")
-    stride = 1 << (oracle_depth - h)
-    counts = np.empty(trials)
-    for j in range(trials):
-        rng = RandomSource(derive_seed(seed, j))
-        w = _dyadic_grid_walk(rng, oracle_depth)
-        m_ref = float(_cell_max_samples(rng, w, oracle_depth).max())
-        counts[j] = np.count_nonzero(w[::stride] >= m_ref - eta)
-    bound = 6.0 * eta * eta * (1 << h)
+    try:
+        bound = math.ldexp(6.0 * eta * eta, h)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
+    counts = np.concatenate(
+        [
+            np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
+            for w, sups in _grid_blocks(seed, trials, h)
+        ]
+    )
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     total = int(counts.sum())
@@ -265,7 +283,6 @@ def lemma3_mc(
             "suite": "lemma3",
             "h": h,
             "eta": eta,
-            "oracle_depth": oracle_depth,
             "seed": seed,
             "mean_count": mean,
             "std_error": std_error,
@@ -281,12 +298,15 @@ def event_c_check(
     """Estimate how often some dyadic interval beats its optimistic bound.
 
     Per trial: walk W on the depth-``check_depth`` grid and draw one exact
-    sup sample per finest cell. Sups of coarser dyadic intervals are the
-    maxima of their cells' draws, reused consistently up the tree, so all
-    (2**(check_depth+1) - 1) interval sups come from one coherent joint
-    sample. The trial is a violation if any interval's sup exceeds its
-    bound max(endpoints) + eta(epsilon, length). The theoretical bound on
-    the violation probability is epsilon**5.
+    sup sample per finest cell (normals, then uniforms, from the trial's
+    own stream; see :func:`_grid_blocks`). Sups of coarser dyadic
+    intervals are the maxima of their cells' draws, reused consistently up
+    the tree, so all (2**(check_depth+1) - 1) interval sups come from one
+    coherent joint sample. The trial is a violation if any interval's sup
+    exceeds its bound max(endpoints) + eta(epsilon, length). The
+    theoretical bound on the violation probability is epsilon**5. Trials
+    are checked a block at a time, level by level from the finest; the
+    per-trial verdicts are those of checking each trial alone.
 
     Only depths h <= check_depth are examined, so the empirical rate is a
     lower bound for the untruncated event; deeper intervals contribute a
@@ -300,21 +320,15 @@ def event_c_check(
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     violations = 0
-    for j in range(trials):
-        rng = RandomSource(derive_seed(seed, j))
-        w = _dyadic_grid_walk(rng, check_depth)
-        sups = _cell_max_samples(rng, w, check_depth)
-        bad = False
+    for w, sups in _grid_blocks(seed, trials, check_depth):
+        bad = np.zeros(len(w), dtype=bool)
         level = sups
         for h in range(check_depth, -1, -1):
-            ends = w[:: 1 << (check_depth - h)]
-            bounds = np.maximum(ends[:-1], ends[1:]) + widths[h]
-            if np.any(level > bounds):
-                bad = True
-                break
+            ends = w[:, :: 1 << (check_depth - h)]
+            bad |= np.any(level > np.maximum(ends[:, :-1], ends[:, 1:]) + widths[h], axis=1)
             if h:
-                level = np.maximum(level[0::2], level[1::2])
-        violations += bad
+                level = np.maximum(level[:, 0::2], level[:, 1::2])
+        violations += int(np.count_nonzero(bad))
     rate = violations / trials
     bound = epsilon**5
     upper = wilson_ci(violations, trials)[1]

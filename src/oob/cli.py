@@ -220,8 +220,7 @@ def _suite_pac(args: argparse.Namespace, seed: int) -> VerificationReport:
 
 
 def _suite_lemma3(args: argparse.Namespace, seed: int) -> VerificationReport:
-    oracle_depth = args.oracle_depth if args.oracle_depth is not None else args.depth + 6
-    return lemma3_mc(args.depth, args.eta, args.trials, oracle_depth, seed)
+    return lemma3_mc(args.depth, args.eta, args.trials, seed)
 
 
 def _suite_eventc(args: argparse.Namespace, seed: int) -> VerificationReport:
@@ -273,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     lemma3_p.add_argument("--depth", type=int, default=6, help="grid depth h")
     lemma3_p.add_argument("--eta", type=float, default=0.1)
     lemma3_p.add_argument("--trials", type=_positive("trials"), default=10000)
-    lemma3_p.add_argument(
-        "--oracle-depth",
-        type=int,
-        default=None,
-        help="fine-grid depth for the maximum reference (default: depth + 6)",
-    )
     _add_common(lemma3_p)
     lemma3_p.set_defaults(handler=_cmd_verify, suite_runner=_suite_lemma3)
 

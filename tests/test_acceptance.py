@@ -85,8 +85,7 @@ def test_criterion_4_near_optimal_counts():
     parts = []
     ok = True
     for offset, (h, eta_value) in enumerate(((6, 0.1), (8, 0.05), (10, 0.05))):
-        report = lemma3_mc(h, eta_value, trials=10_000, oracle_depth=h + 6,
-                           seed=2041 + offset)
+        report = lemma3_mc(h, eta_value, trials=10_000, seed=2041 + offset)
         meta = report.metadata
         ok = ok and report.passed
         parts.append(f"(h={h}, eta={eta_value}): mean+3se="

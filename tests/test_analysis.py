@@ -10,10 +10,12 @@ import pytest
 from oob import (
     RandomSource,
     baseline_separation,
+    bridge_max_from_uniforms,
     complexity_fit,
     conditional_max_sample,
     conditional_max_samples,
     derive_seed,
+    eta,
     event_c_check,
     lemma3_mc,
     new_path,
@@ -131,47 +133,118 @@ class TestPacEstimate:
             pac_estimate(0.1, 1, 0, 0)
 
 
+def _trial_grid(trial_seed: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference draws of one trial: the dyadic walk, then one sup per cell."""
+    rng = RandomSource(trial_seed)
+    n = 1 << depth
+    length = math.ldexp(1.0, -depth)
+    w = np.empty(n + 1)
+    w[0] = 0.0
+    np.cumsum(rng.normals(n), out=w[1:])
+    w[1:] *= math.sqrt(length)
+    u = rng.uniforms_open(n)
+    return w, bridge_max_from_uniforms(u, length, w[:-1], w[1:])
+
+
+def _reference_lemma3_counts(
+    h: int, eta_value: float, trials: int, seed: int, walk_depth: int
+) -> np.ndarray:
+    """Per-trial near-optimal counts at depth h, M drawn on a walk_depth grid."""
+    counts = np.empty(trials)
+    for j in range(trials):
+        w, sups = _trial_grid(derive_seed(seed, j), walk_depth)
+        counts[j] = np.count_nonzero(w[:: 1 << (walk_depth - h)] >= sups.max() - eta_value)
+    return counts
+
+
+def _reference_event_c_violations(
+    epsilon: float, check_depth: int, trials: int, seed: int
+) -> int:
+    """Per-trial event-C check, stopping at the first violating level."""
+    widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
+    violations = 0
+    for j in range(trials):
+        w, level = _trial_grid(derive_seed(seed, j), check_depth)
+        for h in range(check_depth, -1, -1):
+            ends = w[:: 1 << (check_depth - h)]
+            if np.any(level > np.maximum(ends[:-1], ends[1:]) + widths[h]):
+                violations += 1
+                break
+            if h:
+                level = np.maximum(level[0::2], level[1::2])
+    return violations
+
+
 class TestLemma3:
     def test_saturation_counts_both_endpoints(self):
-        report = lemma3_mc(0, 5.0, trials=50, oracle_depth=4, seed=11)
+        report = lemma3_mc(0, 5.0, trials=50, seed=11)
         assert report.empirical_rate == 2.0  # every trial counts 0 and 1
         assert report.violations == 100
         assert report.passed  # bound 6*25 = 150
 
     def test_eta_zero_counts_nothing(self):
         # The maximum reference exceeds every grid value almost surely.
-        report = lemma3_mc(4, 0.0, trials=200, oracle_depth=8, seed=11)
+        report = lemma3_mc(4, 0.0, trials=200, seed=11)
         assert report.empirical_rate == 0.0
         assert report.passed
 
     def test_paired_monotone_in_eta(self):
         # Same seed, same walks and oracle draws: per-trial counts only
         # grow with eta, so the means must be ordered deterministically.
-        small = lemma3_mc(4, 0.05, trials=300, oracle_depth=8, seed=13)
-        large = lemma3_mc(4, 0.15, trials=300, oracle_depth=8, seed=13)
+        small = lemma3_mc(4, 0.05, trials=300, seed=13)
+        large = lemma3_mc(4, 0.15, trials=300, seed=13)
         assert small.empirical_rate <= large.empirical_rate
 
     def test_overshoot_fails(self):
         # At depth 0 the two endpoints alone already put the mean count
         # near 0.16 for eta = 0.1, far above the quadratic bound 0.06, so
         # the check must report failure.
-        report = lemma3_mc(0, 0.1, trials=400, oracle_depth=8, seed=11)
+        report = lemma3_mc(0, 0.1, trials=400, seed=11)
         assert not report.passed
         assert report.metadata["mean_plus_3se"] > report.bound
 
+    @pytest.mark.parametrize(
+        "h,eta_value,trials,seed",
+        [(0, 0.3, 5, 2), (6, 0.1, 1200, 9), (11, 0.05, 40, 3), (15, 0.02, 3, 4)],
+    )
+    def test_matches_per_trial_reference(self, h, eta_value, trials, seed):
+        # One block at h = 0, three at h = 6 and 11, one trial per block at 15.
+        counts = _reference_lemma3_counts(h, eta_value, trials, seed, walk_depth=h)
+        report = lemma3_mc(h, eta_value, trials, seed)
+        assert report.violations == int(counts.sum())
+        assert report.metadata["mean_count"] == float(counts.mean())
+        assert report.metadata["std_error"] == float(
+            counts.std(ddof=1) / math.sqrt(trials)
+        )
+
+    def test_mean_agrees_with_fine_walk(self):
+        # Drawing M from a 64x finer walk has the same law of (grid, M);
+        # the means of two independent seeds must agree within 4 combined
+        # standard errors.
+        h, eta_value, trials = 4, 0.2, 3000
+        report = lemma3_mc(h, eta_value, trials, seed=71)
+        fine = _reference_lemma3_counts(h, eta_value, trials, seed=72, walk_depth=h + 6)
+        se = math.hypot(report.metadata["std_error"], fine.std(ddof=1) / math.sqrt(trials))
+        assert abs(report.metadata["mean_count"] - fine.mean()) <= 4.0 * se
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            lemma3_mc(4, 0.1, trials=1, oracle_depth=3, seed=0)  # oracle too coarse
+            lemma3_mc(-1, 0.1, trials=1, seed=0)
         with pytest.raises(ValueError):
-            lemma3_mc(-1, 0.1, trials=1, oracle_depth=3, seed=0)
+            lemma3_mc(2, -0.1, trials=1, seed=0)
         with pytest.raises(ValueError):
-            lemma3_mc(2, -0.1, trials=1, oracle_depth=4, seed=0)
-        with pytest.raises(ValueError):
-            lemma3_mc(2, 0.1, trials=0, oracle_depth=4, seed=0)
+            lemma3_mc(2, 0.1, trials=0, seed=0)
         # nan would compare false everywhere and inf would pass vacuously.
         for eta_value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="eta"):
-                lemma3_mc(2, eta_value, trials=5, oracle_depth=4, seed=0)
+                lemma3_mc(2, eta_value, trials=5, seed=0)
+
+    @pytest.mark.parametrize("h,eta_value", [(2, 1e308), (2, 1e154), (2000, 0.1)])
+    def test_overflowing_bound_rejected(self, h, eta_value):
+        # A finite eta whose bound 6*eta**2*2**h is not finite would pass
+        # vacuously; it is refused before any draw.
+        with pytest.raises(ValueError, match="overflows"):
+            lemma3_mc(h, eta_value, trials=2, seed=0)
 
 
 class TestEventC:
@@ -181,6 +254,18 @@ class TestEventC:
         loose = event_c_check(0.5, check_depth=8, trials=3000, seed=41)
         tight = event_c_check(0.25, check_depth=8, trials=3000, seed=41)
         assert tight.empirical_rate <= loose.empirical_rate
+
+    @pytest.mark.parametrize(
+        "check_depth,trials,seed", [(4, 6000, 1), (5, 4000, 1), (8, 4000, 1)]
+    )
+    def test_matches_per_trial_reference(self, check_depth, trials, seed):
+        # Settings picked for having violations (2, 1 and 3); their trials
+        # span 3, 4 and 32 blocks.
+        violations = _reference_event_c_violations(0.5, check_depth, trials, seed)
+        assert violations > 0
+        report = event_c_check(0.5, check_depth, trials, seed)
+        assert report.violations == violations
+        assert report.wilson_upper_95 == wilson_ci(violations, trials)[1]
 
     def test_report_accounting(self):
         report = event_c_check(0.5, check_depth=6, trials=2000, seed=43)

@@ -143,20 +143,25 @@ class TestVerify:
         # this configuration must fail and signal it in the exit code.
         code, out, _ = run_cli(
             ["verify", "lemma3", "--depth", "0", "--eta", "0.1",
-             "--trials", "400", "--oracle-depth", "8", "--seed", "11"],
+             "--trials", "400", "--seed", "11"],
             capsys,
         )
         assert code == 1
         assert json.loads(out)["passed"] is False
 
-    def test_lemma3_default_oracle_depth(self, capsys):
+    def test_lemma3_rejects_oracle_depth_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "lemma3", "--depth", "3", "--oracle-depth", "9", "--trials", "5"])
+        assert info.value.code == 2
+
+    def test_lemma3_report_has_no_oracle_depth(self, capsys):
         code, out, _ = run_cli(
             ["verify", "lemma3", "--depth", "3", "--eta", "0.2",
              "--trials", "30", "--seed", "2"],
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["metadata"]["oracle_depth"] == 9
+        assert "oracle_depth" not in json.loads(out)["metadata"]
 
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_lemma3_non_finite_eta_exits_2(self, eta, tmp_path, capsys):
@@ -167,6 +172,18 @@ class TestVerify:
         )
         assert code == 2
         assert "eta" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("eta", ["1e308", "1e154"])
+    def test_lemma3_overflowing_bound_exits_2(self, eta, tmp_path, capsys):
+        target = tmp_path / "lemma3.json"
+        code, _, err = run_cli(
+            ["verify", "lemma3", "--eta", eta, "--depth", "2", "--trials", "2",
+             "--out", str(target)],
+            capsys,
+        )
+        assert code == 2
+        assert "overflows" in err
         assert not target.exists()
 
     def test_eventc_allows_epsilon_half(self, capsys):

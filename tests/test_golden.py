@@ -32,6 +32,18 @@ CLI_GOLDEN = [
         "c00829dd1d3ddbc7abf7cc5ee2e5bf2bb4ee88b35b36a82bbc4efadb59a1e812",
         id="verify-pac",
     ),
+    pytest.param(
+        # 3 violations; at depth 8 the 4000 trials span 32 trial blocks.
+        ["verify", "eventc", "--epsilon", "0.5", "--depth", "8", "--trials", "4000", "--seed", "1"],
+        "2a8cf3faf52b862e82727d8893919aec8aff970ccf5f02f35e90be1ba70c2780",
+        id="verify-eventc",
+    ),
+    pytest.param(
+        # Pinned with the depth-h maximum reference (no finer walk); 3 blocks.
+        ["verify", "lemma3", "--depth", "8", "--eta", "0.05", "--trials", "300", "--seed", "3"],
+        "f9e877decab9c8b1b6d1627a1e21052fda72241e9f44c043ac7018f8e08dda25",
+        id="verify-lemma3",
+    ),
 ]
 
 
