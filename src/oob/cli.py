@@ -9,12 +9,11 @@ Output is deterministic byte-for-byte given identical flags and seed; when
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     VerificationReport,
@@ -23,84 +22,59 @@ from .analysis import (
     lemma3_mc,
     pac_estimate,
 )
-from .optimizer import RunResult, compute_h_max, run_oob
+from .optimizer import RunResult, run_oob
 from .rng import MASK64, derive_seed
 
-__all__ = ["CSV_HEADER", "SweepRow", "main", "run_sweep"]
+__all__ = ["CSV_HEADER", "main", "run_sweep"]
 
 CSV_HEADER = ("epsilon", "seed", "n_evals", "m_hat", "t_hat", "h_max", "ln2_inv_eps")
 
 DEFAULT_SWEEP_EPSILONS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One optimizer run flattened for CSV/JSON emission."""
-
-    epsilon: float
-    seed: int
-    n_evals: int
-    m_hat: float
-    t_hat: float
-    h_max: int
-    ln2_inv_eps: float
-
-    @classmethod
-    def from_result(cls, result: RunResult) -> "SweepRow":
-        return cls(
-            epsilon=result.epsilon,
-            seed=result.seed,
-            n_evals=result.n_evals,
-            m_hat=result.m_hat,
-            t_hat=result.t_hat,
-            h_max=result.h_max,
-            ln2_inv_eps=math.log(1.0 / result.epsilon) ** 2,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "n_evals": self.n_evals,
-            "m_hat": self.m_hat,
-            "t_hat": self.t_hat,
-            "h_max": self.h_max,
-            "ln2_inv_eps": self.ln2_inv_eps,
-        }
-
-    def to_csv_fields(self) -> list[str]:
-        return [
-            _real(self.epsilon),
-            str(self.seed),
-            str(self.n_evals),
-            _real(self.m_hat),
-            _real(self.t_hat),
-            str(self.h_max),
-            _real(self.ln2_inv_eps),
-        ]
-
-
-def _real(x: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(x, ".17g")
-
-
-def run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> list[SweepRow]:
-    """Rows for every (epsilon, trial) pair, grouped by epsilon in given order.
+def run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> list[RunResult]:
+    """Runs for every (epsilon, trial) pair, grouped by epsilon in given order.
 
     Trial j uses the derived seed ``derive_seed(seed, j)`` at every epsilon,
     so runs are paired across epsilon levels and reproducible one-by-one
     with ``run --epsilon E --seed <row seed>``.
     """
-    rows = []
-    for epsilon in epsilons:
-        for j in range(trials):
-            rows.append(SweepRow.from_result(run_oob(epsilon, derive_seed(seed, j))))
-    return rows
+    return [run_oob(epsilon, derive_seed(seed, j)) for epsilon in epsilons for j in range(trials)]
 
 
-class _UsageError(Exception):
-    pass
+def _row(result: RunResult) -> dict:
+    """One run as the ``CSV_HEADER`` fields, in that order."""
+    return {
+        "epsilon": result.epsilon,
+        "seed": result.seed,
+        "n_evals": result.n_evals,
+        "m_hat": result.m_hat,
+        "t_hat": result.t_hat,
+        "h_max": result.h_max,
+        "ln2_inv_eps": math.log(1.0 / result.epsilon) ** 2,
+    }
+
+
+def _field(value: float | int) -> str:
+    # 17 significant digits round-trip any double exactly. No field can hold
+    # a comma, a quote or a newline, so the CSV needs no quoting.
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _sweep(args: argparse.Namespace, seed: int) -> tuple[str, int]:
+    rows = [_row(result) for result in run_sweep(args.epsilons, args.trials, seed)]
+    if args.format == "json":
+        return _json(rows), 0
+    lines = [CSV_HEADER, *([_field(v) for v in row.values()] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines), 0
+
+
+def _verdict(report: VerificationReport) -> tuple[str, int]:
+    return _json(report.to_json_dict()), 0 if report.passed else 1
 
 
 def _parse_epsilon(text: str, *, allow_half: bool = False) -> float:
@@ -155,83 +129,26 @@ def _positive(name: str):
     return parse
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
+def _resolve_seed(flag: int | None) -> int:
+    if flag is not None:
+        return flag
     env = os.environ.get("OOB_SEED")
     if env is None:
         return 0
     try:
         return _seed(env)
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"OOB_SEED: {exc}") from None
+        raise ValueError(f"OOB_SEED: {exc}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    row = SweepRow.from_result(run_oob(args.epsilon, seed))
-    _write_text(args.out, json.dumps(row.to_json_dict(), indent=2) + "\n")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rows = run_sweep(args.epsilons, args.trials, seed)
-    if args.format == "json":
-        text = json.dumps([row.to_json_dict() for row in rows], indent=2) + "\n"
-        _write_text(args.out, text)
-        return 0
-    if args.out is None:
-        _write_csv(sys.stdout, rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, rows)
-    return 0
-
-
-def _write_csv(handle, rows: list[SweepRow]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(row.to_csv_fields())
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    report = args.suite_runner(args, seed)
-    _write_text(args.out, _report_json(report))
-    return 0 if report.passed else 1
-
-
-def _suite_pac(args: argparse.Namespace, seed: int) -> VerificationReport:
-    return pac_estimate(args.epsilon, args.trials, args.draws, seed)
-
-
-def _suite_lemma3(args: argparse.Namespace, seed: int) -> VerificationReport:
-    return lemma3_mc(args.depth, args.eta, args.trials, seed)
-
-
-def _suite_eventc(args: argparse.Namespace, seed: int) -> VerificationReport:
-    return event_c_check(args.epsilon, args.depth, args.trials, seed)
-
-
-def _suite_baseline(args: argparse.Namespace, seed: int) -> VerificationReport:
-    return baseline_separation(epsilons=args.epsilons, trials=args.trials, seed=seed)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oob`` parser, built once per process on first use.
+
+    Each subcommand's ``handler(args, seed)`` returns ``(text, exit_code)``.
+    The suite handlers name the suite functions as module globals, looked up
+    at call time, so a wrapper installed on this module later still runs.
+    """
     parser = argparse.ArgumentParser(
         prog="oob",
         description=(
@@ -244,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = commands.add_parser("run", help="one optimizer run, emitted as JSON")
     run_p.add_argument("--epsilon", type=_epsilon_strict, required=True)
     _add_common(run_p)
-    run_p.set_defaults(handler=_cmd_run)
+    run_p.set_defaults(handler=lambda args, seed: (_json(_row(run_oob(args.epsilon, seed))), 0))
 
     sweep_p = commands.add_parser("sweep", help="many runs per epsilon, CSV or JSON")
     sweep_p.add_argument(
@@ -256,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--trials", type=_positive("trials"), default=250)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sweep_p)
-    sweep_p.set_defaults(handler=_cmd_sweep)
+    sweep_p.set_defaults(handler=_sweep)
 
     verify_p = commands.add_parser("verify", help="run one verification suite")
     suites = verify_p.add_subparsers(dest="suite", required=True)
@@ -266,21 +183,31 @@ def build_parser() -> argparse.ArgumentParser:
     pac_p.add_argument("--trials", type=_positive("trials"), default=500)
     pac_p.add_argument("--draws", type=_positive("draws"), default=100)
     _add_common(pac_p)
-    pac_p.set_defaults(handler=_cmd_verify, suite_runner=_suite_pac)
+    pac_p.set_defaults(
+        handler=lambda args, seed: _verdict(
+            pac_estimate(args.epsilon, args.trials, args.draws, seed)
+        )
+    )
 
     lemma3_p = suites.add_parser("lemma3", help="near-optimal count bound")
     lemma3_p.add_argument("--depth", type=int, default=6, help="grid depth h")
     lemma3_p.add_argument("--eta", type=float, default=0.1)
     lemma3_p.add_argument("--trials", type=_positive("trials"), default=10000)
     _add_common(lemma3_p)
-    lemma3_p.set_defaults(handler=_cmd_verify, suite_runner=_suite_lemma3)
+    lemma3_p.set_defaults(
+        handler=lambda args, seed: _verdict(lemma3_mc(args.depth, args.eta, args.trials, seed))
+    )
 
     eventc_p = suites.add_parser("eventc", help="simultaneous bound violations")
     eventc_p.add_argument("--epsilon", type=_epsilon_to_half, default=0.5)
     eventc_p.add_argument("--depth", type=_positive("depth"), default=10)
     eventc_p.add_argument("--trials", type=_positive("trials"), default=100000)
     _add_common(eventc_p)
-    eventc_p.set_defaults(handler=_cmd_verify, suite_runner=_suite_eventc)
+    eventc_p.set_defaults(
+        handler=lambda args, seed: _verdict(
+            event_c_check(args.epsilon, args.depth, args.trials, seed)
+        )
+    )
 
     baseline_p = suites.add_parser("baseline", help="grid size vs optimizer cost")
     baseline_p.add_argument(
@@ -291,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     baseline_p.add_argument("--trials", type=_positive("trials"), default=101)
     _add_common(baseline_p)
-    baseline_p.set_defaults(handler=_cmd_verify, suite_runner=_suite_baseline)
+    baseline_p.set_defaults(
+        handler=lambda args, seed: _verdict(
+            baseline_separation(epsilons=args.epsilons, trials=args.trials, seed=seed)
+        )
+    )
 
     return parser
 
@@ -305,14 +236,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except _UsageError as exc:
+        text, code = args.handler(args, _resolve_seed(args.seed))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except (ValueError, OSError) as exc:
+        # Domain errors that slipped past flag validation, a bad OOB_SEED
+        # and an --out that cannot be written are usage errors.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # Domain errors that slipped past flag validation are usage errors.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

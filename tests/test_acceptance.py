@@ -149,8 +149,12 @@ def test_criterion_8_byte_determinism(tmp_path):
     commands = [
         ["run", "--epsilon", "0.1", "--seed", "7"],
         ["sweep", "--epsilons", "0.1,0.05", "--trials", "5", "--seed", "3"],
+        ["sweep", "--epsilons", "0.1,0.05", "--trials", "5", "--seed", "3",
+         "--format", "json"],
         ["verify", "pac", "--epsilon", "0.1", "--trials", "5", "--draws", "5",
          "--seed", "1"],
+        ["verify", "lemma3", "--depth", "4", "--trials", "50", "--seed", "2"],
+        ["verify", "eventc", "--depth", "4", "--trials", "200", "--seed", "3"],
     ]
     ok = True
     parts = []
@@ -166,5 +170,5 @@ def test_criterion_8_byte_determinism(tmp_path):
             outputs.append(target.read_bytes())
         identical = outputs[0] == outputs[1]
         ok = ok and identical
-        parts.append(f"{command[0]}: {'identical' if identical else 'DIFFERS'}")
+        parts.append(f"{' '.join(command)}: {'identical' if identical else 'DIFFERS'}")
     _gate(8, "byte determinism", ok, "; ".join(parts))

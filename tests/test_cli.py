@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+import oob.cli
 from oob import derive_seed, run_oob
-from oob.cli import CSV_HEADER, main, run_sweep
+from oob.cli import CSV_HEADER, build_parser, main, run_sweep
 
 
 def run_cli(args, capsys):
@@ -210,6 +211,51 @@ class TestVerify:
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--epsilon", "0.1", "--seed", "1"],
+        ["verify", "eventc", "--depth", "4", "--trials", "20", "--seed", "1"],
+    ], ids=["run", "verify-eventc"])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_2(self, argv, where, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json" if where == "missing-parent" else tmp_path
+        code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("oob: error: ")
+        assert str(target) in err
+        assert "Traceback" not in err
+
+
+class TestSuiteLookup:
+    def test_cached_parser_calls_suites_through_module_globals(self, monkeypatch, capsys):
+        # The parser is built once per process; a suite function bound at
+        # build time would escape a wrapper installed on the module later.
+        suites = {
+            "lemma3_mc": ["verify", "lemma3", "--depth", "3", "--trials", "20", "--seed", "4"],
+            "event_c_check": ["verify", "eventc", "--depth", "4", "--trials", "50", "--seed", "4"],
+        }
+        before = {name: run_cli(argv, capsys) for name, argv in suites.items()}
+        parser = build_parser()
+        calls = []
+
+        def recording(name):
+            real = getattr(oob.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in suites:
+            monkeypatch.setattr(oob.cli, name, recording(name))
+        after = {name: run_cli(argv, capsys) for name, argv in suites.items()}
+        assert build_parser() is parser
+        assert calls == list(suites)
+        assert after == before
 
 
 class TestSeedResolution:

@@ -44,6 +44,16 @@ CLI_GOLDEN = [
         "f9e877decab9c8b1b6d1627a1e21052fda72241e9f44c043ac7018f8e08dda25",
         id="verify-lemma3",
     ),
+    pytest.param(
+        ["sweep", "--epsilons", "0.1,0.01", "--trials", "4", "--seed", "3", "--format", "json"],
+        "329a32ebb1f6cecf59b530d27d9de8744dfbbd62fe77704551f46f552dabd023",
+        id="sweep-json",
+    ),
+    pytest.param(
+        ["verify", "baseline", "--trials", "5", "--seed", "1"],
+        "e55f855d6a6ab783f30783503705df5a6445489d4b067a83ca255d18f97018d1",
+        id="verify-baseline",
+    ),
 ]
 
 
