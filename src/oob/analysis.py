@@ -28,6 +28,7 @@ from .optimizer import eta, run_oob, run_oob_on_path, RunResult
 from .rng import RandomSource, derive_seed
 
 __all__ = [
+    "MAX_GRID_DEPTH",
     "VerificationReport",
     "Z95",
     "baseline_separation",
@@ -197,6 +198,11 @@ def pac_estimate(
     )
 
 
+# Deepest grid the grid suites accept: a depth-20 block row holds 2**20
+# cells, about 8 MB per float array. Deeper grids would ask numpy for
+# gigabytes before the first draw, so they are refused up front.
+MAX_GRID_DEPTH = 20
+
 # Trials per block of :func:`_grid_blocks` are chosen so that one block
 # holds about this many grid cells, which bounds the working set at any
 # trial count.
@@ -250,6 +256,7 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     In the report, ``violations`` is the summed count over trials, making
     ``empirical_rate`` the mean count per trial; ``wilson_upper_95`` is
     None since the statistic is a mean of small integers, not a rate.
+    Requires 0 <= h <= ``MAX_GRID_DEPTH``.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
@@ -263,6 +270,8 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
         bound = math.inf
     if not math.isfinite(bound):
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
+    if h > MAX_GRID_DEPTH:
+        raise ValueError(f"h must be <= {MAX_GRID_DEPTH}, got {h}")
     counts = np.concatenate(
         [
             np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
@@ -311,11 +320,14 @@ def event_c_check(
     Only depths h <= check_depth are examined, so the empirical rate is a
     lower bound for the untruncated event; deeper intervals contribute a
     rapidly vanishing tail. This caveat is recorded in the metadata.
+    Requires 1 <= check_depth <= ``MAX_GRID_DEPTH``.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1/2, got {epsilon}")
     if check_depth < 1:
         raise ValueError(f"check_depth must be >= 1, got {check_depth}")
+    if check_depth > MAX_GRID_DEPTH:
+        raise ValueError(f"check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]

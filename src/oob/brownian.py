@@ -102,6 +102,17 @@ class BrownianPath:
         values.insert(i, w)
         return w
 
+    def _store_fresh(self, points: list[tuple[float, float]]) -> None:
+        """Store (t, W(t)) pairs drawn elsewhere from this path's stream.
+
+        The path must hold only W(0) and the times must be new and in
+        (0, 1]; they may come in any order. One sort leaves the path as
+        :meth:`evaluate` would have, had it drawn the same values.
+        """
+        ordered = sorted(points)
+        self._times += [t for t, _ in ordered]
+        self._values += [w for _, w in ordered]
+
 
 def new_path(seed: int) -> BrownianPath:
     """Fresh path holding only W(0) = 0, with its own seeded source."""

@@ -107,8 +107,10 @@ def _epsilon_list(text: str) -> tuple[float, ...]:
 
 
 def _seed(text: str) -> int:
+    # Plain digits are decimal even with a leading zero ("010" is 10); base 0
+    # still reads the 0x, 0o and 0b forms.
     try:
-        value = int(text, 0)
+        value = int(text, 10 if text.strip().isdecimal() else 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0 or value > MASK64:

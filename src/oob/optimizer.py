@@ -103,14 +103,22 @@ def run_oob(epsilon: float, seed: int, *, debug_checks: bool = False) -> RunResu
 def run_oob_on_path(
     epsilon: float, path: BrownianPath, *, debug_checks: bool = False
 ) -> RunResult:
-    """Same loop as :func:`run_oob` on a caller-provided path.
+    """Same loop as :func:`run_oob` on a caller-provided fresh path.
 
-    The path is mutated: every queried point is stored in it. Queries are
-    t = 1 first, then midpoints of whichever intervals get split, so a
-    fresh path yields exactly the :func:`run_oob` result for its seed. A
-    path that already holds evaluations simply turns those queries into
-    lookups; the conditional law of everything drawn afterwards is
-    unchanged.
+    The path must hold only W(0) = 0; one that already holds points is
+    refused with ``ValueError`` before any draw. Queries are t = 1 first,
+    then midpoints of whichever intervals get split, each drawn straight
+    from ``path.rng`` with one Gaussian: W(1) = 0 + z, and for the split
+    of [a, b] at depth h the midpoint value is
+
+        wm = wa + 0.5 * (wb - wa) + sd[h+1] * z,   sd[j] = sqrt(2**-(j+1)).
+
+    For dyadic a < t < b, (t-a)/(b-a) is exactly 0.5 and the bridge
+    variance exactly 2**-(h+2), so this repeats the arithmetic of
+    :meth:`BrownianPath.evaluate` bit for bit; a fresh path yields exactly
+    the :func:`run_oob` result for its seed. At the end the points are
+    written back into the path, which then holds W(0) plus the trace, as if
+    :meth:`BrownianPath.evaluate` had been called in trace order.
 
     The active intervals live in a heap of plain tuples (-B, h, k, wa, wb):
     the interval [k/2**h, (k+1)/2**h] with endpoint values wa, wb and
@@ -127,16 +135,21 @@ def run_oob_on_path(
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+    if path.value_count != 1:
+        raise ValueError(f"path must hold only W(0), got {path.value_count} points")
     h_max = compute_h_max(epsilon)
     widths = [eta(epsilon, 2.0 ** -h) for h in range(h_max + 1)]
+    sd = [math.sqrt(2.0 ** -(j + 1)) for j in range(h_max + 1)]
     cap = 1 << (h_max + 1)
+    normal = path.rng.normal
 
-    w0 = path.evaluate(0.0)  # stored at construction, never a draw
-    w1 = path.evaluate(1.0)
+    w0 = 0.0  # W(0) = 0, never a draw
+    w1 = 0.0 + normal()  # past the last point s = 0: mean W(0), variance 1 - 0
     trace = [(1.0, w1)]
-    heap = [(-(max(w0, w1) + widths[0]), 0, 0, w0, w1)]
+    t_hat, m_hat = (1.0, w1) if w1 > w0 else (0.0, w0)
+    heap = [(-((w1 if w1 > w0 else w0) + widths[0]), 0, 0, w0, w1)]
 
-    while True:
+    for _ in range(cap):
         if debug_checks:
             _check_state(heap, widths)
         _, h, k, wa, wb = heap[0]
@@ -145,21 +158,20 @@ def run_oob_on_path(
         h += 1
         k *= 2
         t = math.ldexp(k + 1, -h)  # midpoint of the selected interval
-        wm = path.evaluate(t)
+        wm = wa + 0.5 * (wb - wa) + sd[h] * normal()
         trace.append((t, wm))
+        if wm > m_hat:
+            t_hat, m_hat = t, wm
         width = widths[h]
-        heapq.heapreplace(heap, (-(max(wa, wm) + width), h, k, wa, wm))
-        heapq.heappush(heap, (-(max(wm, wb) + width), h, k + 1, wm, wb))
-        if len(trace) > cap:
-            raise RuntimeError(
-                f"evaluation count exceeded the termination cap {cap}; "
-                "this indicates a defect in the split or stop logic"
-            )
+        heapq.heapreplace(heap, (-((wm if wm > wa else wa) + width), h, k, wa, wm))
+        heapq.heappush(heap, (-((wb if wb > wm else wm) + width), h, k + 1, wm, wb))
+    else:
+        raise RuntimeError(
+            f"evaluation count exceeded the termination cap {cap}; "
+            "this indicates a defect in the split or stop logic"
+        )
 
-    t_hat, m_hat = 0.0, w0
-    for t, w in trace:
-        if w > m_hat:
-            t_hat, m_hat = t, w
+    path._store_fresh(trace)
     return RunResult(
         epsilon=epsilon,
         t_hat=t_hat,

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oob.analysis
 from oob import (
     RandomSource,
     baseline_separation,
@@ -23,7 +24,24 @@ from oob import (
     uniform_grid_baseline,
     wilson_ci,
 )
-from oob.analysis import _ORACLE_TAG
+from oob.analysis import _ORACLE_TAG, MAX_GRID_DEPTH
+
+
+class _GridReached(Exception):
+    pass
+
+
+@pytest.fixture
+def grid_depths(monkeypatch):
+    """Depths the grid suites ask ``_grid_blocks`` for; no grid is drawn."""
+    depths = []
+
+    def refuse(seed, trials, depth):
+        depths.append(depth)
+        raise _GridReached
+
+    monkeypatch.setattr(oob.analysis, "_grid_blocks", refuse)
+    return depths
 
 
 class TestWilson:
@@ -239,6 +257,16 @@ class TestLemma3:
             with pytest.raises(ValueError, match="eta"):
                 lemma3_mc(2, eta_value, trials=5, seed=0)
 
+    def test_depth_ceiling(self, grid_depths):
+        # Up to the ceiling the walk is requested; one past it is refused
+        # before anything is allocated.
+        with pytest.raises(_GridReached):
+            lemma3_mc(MAX_GRID_DEPTH, 0.1, trials=1, seed=0)
+        for h in (MAX_GRID_DEPTH + 1, 34):
+            with pytest.raises(ValueError, match=f"h must be <= {MAX_GRID_DEPTH}"):
+                lemma3_mc(h, 0.1, trials=1, seed=0)
+        assert grid_depths == [MAX_GRID_DEPTH]
+
     @pytest.mark.parametrize("h,eta_value", [(2, 1e308), (2, 1e154), (2000, 0.1)])
     def test_overflowing_bound_rejected(self, h, eta_value):
         # A finite eta whose bound 6*eta**2*2**h is not finite would pass
@@ -284,6 +312,14 @@ class TestEventC:
             event_c_check(0.5, 0, 10, 0)
         with pytest.raises(ValueError):
             event_c_check(0.5, 4, 0, 0)
+
+    def test_depth_ceiling(self, grid_depths):
+        with pytest.raises(_GridReached):
+            event_c_check(0.5, MAX_GRID_DEPTH, 1, 0)
+        for depth in (MAX_GRID_DEPTH + 1, 34):
+            with pytest.raises(ValueError, match=f"check_depth must be <= {MAX_GRID_DEPTH}"):
+                event_c_check(0.5, depth, 1, 0)
+        assert grid_depths == [MAX_GRID_DEPTH]
 
 
 class TestBaseline:

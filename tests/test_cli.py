@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import oob.analysis
 import oob.cli
 from oob import derive_seed, run_oob
+from oob.analysis import MAX_GRID_DEPTH
 from oob.cli import CSV_HEADER, build_parser, main, run_sweep
 
 
@@ -187,6 +189,24 @@ class TestVerify:
         assert "overflows" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("suite", ["lemma3", "eventc"])
+    @pytest.mark.parametrize("depth", [MAX_GRID_DEPTH + 1, 34])
+    def test_depth_past_ceiling_exits_2(self, suite, depth, tmp_path, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was requested")
+
+        monkeypatch.setattr(oob.analysis, "_grid_blocks", no_grid)
+        target = tmp_path / "suite.json"
+        code, out, err = run_cli(
+            ["verify", suite, "--depth", str(depth), "--trials", "1", "--out", str(target)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("oob: error: ")
+        assert f"<= {MAX_GRID_DEPTH}, got {depth}" in err
+        assert not target.exists()
+
     def test_eventc_allows_epsilon_half(self, capsys):
         code, out, _ = run_cli(
             ["verify", "eventc", "--epsilon", "0.5", "--depth", "5",
@@ -274,6 +294,22 @@ class TestSeedResolution:
         monkeypatch.delenv("OOB_SEED", raising=False)
         _, out, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
         assert json.loads(out)["seed"] == 0
+
+    @pytest.mark.parametrize("text,value", [("010", 10), ("0x10", 16)])
+    def test_seed_forms(self, text, value, capsys, monkeypatch):
+        # Plain digits are decimal even with a leading zero; 0x still reads hex.
+        monkeypatch.delenv("OOB_SEED", raising=False)
+        _, from_flag, _ = run_cli(["run", "--epsilon", "0.2", "--seed", text], capsys)
+        monkeypatch.setenv("OOB_SEED", text)
+        _, from_env, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
+        assert json.loads(from_flag)["seed"] == value
+        assert from_env == from_flag
+
+    def test_bad_seed_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--epsilon", "0.2", "--seed", "bad"])
+        assert info.value.code == 2
+        assert "not an integer: 'bad'" in capsys.readouterr().err
 
     def test_invalid_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("OOB_SEED", "not-a-number")

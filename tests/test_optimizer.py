@@ -140,12 +140,29 @@ class TestRunLoop:
             num, denom = float(t).as_integer_ratio()
             assert denom.bit_length() - 1 <= result.h_max  # never splits past h_max
 
-    def test_path_superset_of_trace(self):
+    def test_path_holds_origin_plus_trace(self):
         path = new_path(11)
         result = run_oob_on_path(0.2, path)
-        stored = dict(path.evaluations())
-        for t, w in result.trace:
-            assert stored[t] == w
+        assert path.evaluations() == [(0.0, 0.0), *sorted(result.trace)]
+        assert path.value_count == result.n_evals + 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "epsilon", [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 1e-6]
+    )
+    def test_loop_matches_general_sampler(self, epsilon, seed):
+        # The loop draws each midpoint in closed form; the general lazy
+        # sampler queried at the same times in the same order must give
+        # the same values, leave the same stored points and the stream at
+        # the same place.
+        path = new_path(seed)
+        result = run_oob_on_path(epsilon, path)
+        reference = new_path(seed)
+        assert [reference.evaluate(t) for t, _ in result.trace] == [
+            w for _, w in result.trace
+        ]
+        assert path.evaluations() == reference.evaluations()
+        assert path.rng.normal() == reference.rng.normal()
 
     @pytest.mark.parametrize("epsilon,seed", [(0.1, 5), (0.05, 12)])
     def test_selection_replay(self, epsilon, seed):
@@ -187,20 +204,21 @@ class TestRunLoop:
         with pytest.raises(AssertionError, match="covers"):
             _check_state([halves[0]], widths)
 
-    def test_prepopulated_path_answers_by_lookup(self):
-        # A path that already holds every point of the run answers each
-        # query from storage: the same result, no new point, no draw.
-        expected = run_oob(0.05, 21)
+    def test_used_path_is_refused_without_a_draw(self):
+        # The loop draws from the stream as if the path held only W(0), so
+        # a path holding more, including one a run already used, is refused.
         path = new_path(21)
-        for t, _ in expected.trace:
-            path.evaluate(t)
-        count = path.value_count
-        assert run_oob_on_path(0.05, path) == expected
-        assert path.value_count == count
+        path.evaluate(0.5)
         twin = RandomSource(21)
-        for _ in range(expected.n_evals):
-            twin.normal()
+        twin.normal()
+        with pytest.raises(ValueError, match="only W\\(0\\)"):
+            run_oob_on_path(0.05, path)
+        assert path.value_count == 2
         assert path.rng.normal() == twin.normal()
+        used = new_path(21)
+        run_oob_on_path(0.05, used)
+        with pytest.raises(ValueError, match="only W\\(0\\)"):
+            run_oob_on_path(0.05, used)
 
     def test_optimism_steers_splits(self):
         # Seed 3 draws W(1) = +2.04: early midpoints chase the right edge.
