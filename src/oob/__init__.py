@@ -7,22 +7,19 @@ verification harnesses with a CLI (:mod:`oob.analysis`, :mod:`oob.cli`).
 """
 
 from .analysis import (
+    MAX_GRID_DEPTH,
     VerificationReport,
     Z95,
     baseline_separation,
-    complexity_fit,
-    conditional_max_sample,
     conditional_max_samples,
     event_c_check,
     lemma3_mc,
     pac_estimate,
-    uniform_grid_baseline,
     wilson_ci,
 )
 from .brownian import (
     BrownianPath,
     bridge_max_exceed_prob,
-    bridge_max_from_uniform,
     bridge_max_from_uniforms,
     bridge_max_sample,
     new_path,
@@ -43,6 +40,7 @@ __all__ = [
     "BrownianPath",
     "MASK64",
     "MAX_DEPTH",
+    "MAX_GRID_DEPTH",
     "RandomSource",
     "RunResult",
     "VerificationReport",
@@ -50,12 +48,9 @@ __all__ = [
     "__version__",
     "baseline_separation",
     "bridge_max_exceed_prob",
-    "bridge_max_from_uniform",
     "bridge_max_from_uniforms",
     "bridge_max_sample",
-    "complexity_fit",
     "compute_h_max",
-    "conditional_max_sample",
     "conditional_max_samples",
     "derive_seed",
     "eta",
@@ -66,6 +61,5 @@ __all__ = [
     "run_oob",
     "run_oob_on_path",
     "splitmix64",
-    "uniform_grid_baseline",
     "wilson_ci",
 ]

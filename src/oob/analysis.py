@@ -23,8 +23,10 @@ from statistics import median
 
 import numpy as np
 
-from .brownian import bridge_max_from_uniforms, bridge_max_sample, new_path
-from .optimizer import eta, run_oob, run_oob_on_path, RunResult
+from .brownian import bridge_max_from_uniforms, new_path
+# Kept only as the benchmark tracer's hook target until the next benchmark change retires it.
+from .brownian import bridge_max_sample
+from .optimizer import eta, run_oob, run_oob_on_path
 from .rng import RandomSource, derive_seed
 
 __all__ = [
@@ -32,13 +34,10 @@ __all__ = [
     "VerificationReport",
     "Z95",
     "baseline_separation",
-    "complexity_fit",
-    "conditional_max_sample",
     "conditional_max_samples",
     "event_c_check",
     "lemma3_mc",
     "pac_estimate",
-    "uniform_grid_baseline",
     "wilson_ci",
 ]
 
@@ -116,34 +115,18 @@ def _evaluation_arrays(
     return t, w
 
 
-def conditional_max_sample(
-    evaluations: list[tuple[float, float]], rng: RandomSource
-) -> float:
-    """Exact draw of M = sup W over [0, 1] given the evaluations.
-
-    Consecutive evaluations pin independent bridges; one bridge-maximum
-    draw per cell, maximized over cells, has exactly the conditional law
-    of M. Consumes one uniform per cell, left to right. The result is
-    never below the best evaluation.
-    """
-    t, w = _evaluation_arrays(evaluations)
-    best = -math.inf
-    for i in range(len(t) - 1):
-        x = bridge_max_sample(rng, t[i], t[i + 1], w[i], w[i + 1])
-        if x > best:
-            best = x
-    return best
-
-
 def conditional_max_samples(
     evaluations: list[tuple[float, float]], rng: RandomSource, count: int
 ) -> np.ndarray:
-    """``count`` independent conditional draws of M over one evaluation set.
+    """``count`` exact, independent draws of M = sup W over [0, 1] given evaluations.
 
-    Batched counterpart of :func:`conditional_max_sample`: consumes
+    Consecutive evaluations pin independent bridges; one bridge-maximum
+    draw per cell, maximized over cells, has exactly the conditional law
+    of M, so every value is at least the best evaluation. Consumes
     ``count * cells`` uniforms in one call, row r holding the cell draws
-    of sample r. Values match ``count`` sequential scalar calls up to
-    elementwise rounding differences in the numpy kernels.
+    of sample r from left to right. The draws are row-major, so calls of
+    ``count = a`` then ``count = b`` on one source return exactly the
+    values of a single ``count = a + b`` call.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -151,6 +134,12 @@ def conditional_max_samples(
     u = rng.uniforms_open((count, len(t) - 1))
     x = bridge_max_from_uniforms(u, np.diff(t), w[:-1], w[1:])
     return x.max(axis=1)
+
+
+# Rows per block of oracle draws (:func:`pac_estimate`) and of grid trials
+# (:func:`_grid_blocks`) are chosen so that one block holds about this many
+# cells, which bounds the working set at any draw or trial count.
+_BLOCK_CELLS = 1 << 15
 
 
 def pac_estimate(
@@ -164,7 +153,9 @@ def pac_estimate(
     draw with M - m_hat > epsilon counts as an exceedance. The claimed
     bound is that the exceedance probability is at most epsilon; the
     report passes when the empirical rate is within one Wilson 95%
-    half-width of that.
+    half-width of that. A run with ``cells`` evaluation cells draws its
+    oracle samples ``max(1, _BLOCK_CELLS // cells)`` at a time; the draws
+    are row-major, so the blocks see exactly the values of one call.
     """
     if trials < 1 or oracle_draws_per_trial < 1:
         raise ValueError("trials and oracle_draws_per_trial must be >= 1")
@@ -172,10 +163,12 @@ def pac_estimate(
     for j in range(trials):
         path = new_path(derive_seed(seed, j))
         result = run_oob_on_path(epsilon, path)
-        samples = conditional_max_samples(
-            path.evaluations(), path.rng, oracle_draws_per_trial
-        )
-        exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
+        evaluations = path.evaluations()
+        block = max(1, _BLOCK_CELLS // result.n_evals)
+        for start in range(0, oracle_draws_per_trial, block):
+            count = min(block, oracle_draws_per_trial - start)
+            samples = conditional_max_samples(evaluations, path.rng, count)
+            exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
     total = trials * oracle_draws_per_trial
     rate = exceedances / total
     upper = wilson_ci(exceedances, total)[1]
@@ -202,11 +195,6 @@ def pac_estimate(
 # cells, about 8 MB per float array. Deeper grids would ask numpy for
 # gigabytes before the first draw, so they are refused up front.
 MAX_GRID_DEPTH = 20
-
-# Trials per block of :func:`_grid_blocks` are chosen so that one block
-# holds about this many grid cells, which bounds the working set at any
-# trial count.
-_BLOCK_CELLS = 1 << 15
 
 
 def _grid_blocks(
@@ -367,37 +355,17 @@ def event_c_check(
 
 
 def _uniform_grid(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times k/n and values W(k/n) for k = 0..n; see :func:`uniform_grid_baseline`."""
-    t = np.arange(n + 1) / n
-    w = np.zeros(n + 1)
-    np.cumsum(np.sqrt(np.diff(t)) * RandomSource(seed).normals(n), out=w[1:])
-    return t, w
-
-
-def uniform_grid_baseline(n: int, seed: int) -> RunResult:
-    """Non-adaptive reference: evaluate W at k/n for k = 1..n and take the best.
+    """Times k/n and values W(k/n) for k = 0..n of the path seeded ``seed``.
 
     Draws the n Gaussians in one batch and scales each by
     sqrt(t_k - t_{k-1}) before an in-order sum, as
     :meth:`BrownianPath.evaluate` does past its last point, so the values
-    are bit-equal to ``new_path(seed)`` walked at k/n. Returns a
-    :class:`RunResult` with ``n_evals = n`` and the first argmax over the
-    n evaluations plus the free candidate t = 0; ``epsilon = nan`` and
-    ``h_max = -1`` are sentinels for the optimizer-only fields.
+    are bit-equal to ``new_path(seed)`` walked at k/n for k = 1..n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    t, w = _uniform_grid(n, seed)
-    k = int(np.argmax(w))
-    return RunResult(
-        epsilon=math.nan,
-        t_hat=float(t[k]),
-        m_hat=float(w[k]),
-        n_evals=n,
-        h_max=-1,
-        trace=tuple(zip(t[1:].tolist(), w[1:].tolist())),
-        seed=seed,
-    )
+    t = np.arange(n + 1) / n
+    w = np.zeros(n + 1)
+    np.cumsum(np.sqrt(np.diff(t)) * RandomSource(seed).normals(n), out=w[1:])
+    return t, w
 
 
 def baseline_separation(
@@ -411,17 +379,18 @@ def baseline_separation(
     """Compare grid sizes needed for target error against optimizer cost.
 
     For each grid size, the median conditional error M - m_hat is measured
-    over ``trials`` fresh paths (M drawn by the conditional oracle over the
-    grid evaluations). Each grid is the one-batch walk of
-    :func:`uniform_grid_baseline`, bit-equal to a walked path; its oracle
-    draws one ``uniforms_open(n)``, the same variates in the same order as
-    the scalar :func:`conditional_max_sample`. For each target epsilon, in
-    decreasing order, the smallest grid size whose median error is <=
-    epsilon is divided by the optimizer's mean evaluation count at that
-    epsilon. The suite passes when every target is reachable, the cost
-    ratio strictly grows as epsilon shrinks, and the ratio at the smallest
-    epsilon is at least ``min_factor``. One violation is counted per
-    epsilon level that breaks its part of that contract.
+    over ``trials`` fresh paths, m_hat being the best grid value (t = 0
+    included) and M one exact conditional draw given the grid. Each grid
+    is the one-batch walk of :func:`_uniform_grid`; its oracle draws one
+    ``uniforms_open(n)`` from a separate stream, one uniform per cell from
+    left to right. ``grid_sizes`` must be strictly increasing. For each
+    target epsilon, in decreasing order, the smallest grid size whose
+    median error is <= epsilon is divided by the optimizer's mean
+    evaluation count at that epsilon. The suite passes when every target
+    is reachable, the cost ratio strictly grows as epsilon shrinks, and
+    the ratio at the smallest epsilon is at least ``min_factor``. One
+    violation is counted per epsilon level that breaks its part of that
+    contract.
     """
     if len(epsilons) < 1 or any(not 0.0 < e < 0.5 for e in epsilons):
         raise ValueError("epsilons must be non-empty with each in (0, 1/2)")
@@ -429,6 +398,8 @@ def baseline_separation(
         raise ValueError("epsilons must be strictly decreasing")
     if len(grid_sizes) < 1 or any(n < 1 for n in grid_sizes):
         raise ValueError("grid_sizes must be non-empty positive integers")
+    if any(grid_sizes[i + 1] <= grid_sizes[i] for i in range(len(grid_sizes) - 1)):
+        raise ValueError("grid_sizes must be strictly increasing")
     if trials < 1 or oob_runs < 1:
         raise ValueError("trials and oob_runs must be >= 1")
 
@@ -491,25 +462,3 @@ def baseline_separation(
             ),
         },
     )
-
-
-def complexity_fit(epsilons: list[float], mean_evals: list[float]) -> dict:
-    """Least-squares line of mean evaluation counts against ln(1/eps)**2.
-
-    Returns slope, intercept, and r_squared. Two distinct epsilon values
-    minimum; with exactly two the fit is a perfect line and r_squared is 1.
-    """
-    if len(epsilons) != len(mean_evals) or len(epsilons) < 2:
-        raise ValueError("need matching lists with at least two points")
-    x = np.array([math.log(1.0 / e) ** 2 for e in epsilons])
-    y = np.asarray(mean_evals, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    total = float(np.sum((y - y.mean()) ** 2))
-    residual = float(np.sum((y - predicted) ** 2))
-    r_squared = 1.0 if total == 0.0 else 1.0 - residual / total
-    return {
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "r_squared": r_squared,
-    }

@@ -30,7 +30,6 @@ from .rng import RandomSource
 __all__ = [
     "BrownianPath",
     "bridge_max_exceed_prob",
-    "bridge_max_from_uniform",
     "bridge_max_from_uniforms",
     "bridge_max_sample",
     "new_path",
@@ -140,53 +139,33 @@ def bridge_max_exceed_prob(a: float, b: float, wa: float, wb: float, x: float) -
     return math.exp(-2.0 * (x - wa) * (x - wb) / (b - a))
 
 
-def bridge_max_from_uniform(u: float, a: float, b: float, wa: float, wb: float) -> float:
-    """Invert the bridge-maximum exceedance law at level u in (0, 1].
-
-    With m = (wa+wb)/2 and d = (wa-wb)/2, the unique x >= max(wa, wb)
-    whose exceedance probability equals u is
-
-        x = m + sqrt(d**2 - (b - a) * ln(u) / 2).
-
-    u = 1 returns max(wa, wb) exactly; for other u the result is clamped
-    so it never falls below the endpoints when the last bit rounds down.
-    """
-    _check_interval(a, b)
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u}")
-    hi = wa if wa >= wb else wb
-    if u == 1.0:
-        return hi
-    m = 0.5 * (wa + wb)
-    d = 0.5 * (wa - wb)
-    c = -0.5 * (b - a) * math.log(u)
-    x = m + math.sqrt(d * d + c)
-    return x if x > hi else hi
-
-
 def bridge_max_sample(rng: RandomSource, a: float, b: float, wa: float, wb: float) -> float:
     """Exact draw of sup of W over [a, b] given the endpoint values.
 
-    Consumes exactly one (0, 1] uniform from ``rng`` and feeds it to
-    :func:`bridge_max_from_uniform`. The result is always >= max(wa, wb)
+    Consumes exactly one (0, 1] uniform from ``rng`` and inverts it with
+    :func:`bridge_max_from_uniforms`. The result is always >= max(wa, wb)
     and is distributed as the maximum of the bridge.
     """
     _check_interval(a, b)
-    return bridge_max_from_uniform(rng.uniform_open(), a, b, wa, wb)
+    return float(bridge_max_from_uniforms(rng.uniform_open(), b - a, wa, wb))
 
 
 def bridge_max_from_uniforms(
     u: np.ndarray, lengths: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Vectorized bridge-maximum inversion over stacked cells.
+    """Invert the bridge-maximum exceedance law, elementwise over cells.
 
     ``left``, ``right``, ``lengths`` describe one cell per trailing-axis
-    position; ``u`` holds exceedance levels in (0, 1] and may carry extra
-    leading axes (one row per independent sample of every cell). Results
-    are clamped to the cell endpoint maxima. Elementwise numpy log/sqrt
-    may round differently from the scalar math library, so bit-equality
-    with :func:`bridge_max_from_uniform` is not promised, only agreement
-    to ordinary floating-point accuracy.
+    position (scalars broadcast); ``u`` holds exceedance levels in (0, 1]
+    and may carry extra leading axes (one row per independent sample of
+    every cell). With m = (left+right)/2 and d = (left-right)/2, the x
+    whose exceedance probability equals u is
+
+        x = m + sqrt(d**2 - lengths * ln(u) / 2),
+
+    clamped to max(left, right) so a last-bit rounding never puts it below
+    the endpoints. This is the only implementation of the inverse; tests
+    check it against :func:`bridge_max_exceed_prob`.
     """
     m = 0.5 * (left + right)
     d = 0.5 * (left - right)

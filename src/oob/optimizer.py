@@ -74,9 +74,8 @@ class RunResult:
     ``trace`` lists every W evaluation as (t, W(t)) in evaluation order,
     starting with t = 1; ``n_evals`` is its length. ``t_hat`` maximizes W
     over the evaluated points together with the free candidate t = 0, so
-    ``m_hat >= 0`` always. The uniform-grid baseline reuses this container
-    with sentinel values ``epsilon = nan`` and ``h_max = -1`` since neither
-    notion applies to it.
+    ``m_hat >= 0`` always. ``h_max`` is the run's depth cutoff
+    :func:`compute_h_max` of ``epsilon``.
     """
 
     epsilon: float

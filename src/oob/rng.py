@@ -69,10 +69,7 @@ class RandomSource:
     ``log(u)`` is always finite.
 
     Two sources built from equal seeds produce identical sequences. Scalar
-    and batch calls draw the same underlying variates, but elementwise
-    numpy kernels applied to batches may round differently from the scalar
-    math library, so downstream results are only promised to be identical
-    when the same call pattern is used.
+    and batch calls draw the same underlying variates from one stream.
     """
 
     __slots__ = ("seed", "_gen")

@@ -12,8 +12,7 @@ from oob import (
     RandomSource,
     baseline_separation,
     bridge_max_from_uniforms,
-    complexity_fit,
-    conditional_max_sample,
+    bridge_max_sample,
     conditional_max_samples,
     derive_seed,
     eta,
@@ -21,10 +20,10 @@ from oob import (
     lemma3_mc,
     new_path,
     pac_estimate,
-    uniform_grid_baseline,
+    run_oob_on_path,
     wilson_ci,
 )
-from oob.analysis import _ORACLE_TAG, MAX_GRID_DEPTH
+from oob.analysis import _BLOCK_CELLS, _ORACLE_TAG, MAX_GRID_DEPTH, _uniform_grid
 
 
 class _GridReached(Exception):
@@ -76,27 +75,28 @@ class TestConditionalMax:
             times = [0.0] + interior + [1.0]
             values = [0.0] + [rng.normal() for _ in range(3)] + [rng.normal()]
             evals = list(zip(times, values))
-            assert conditional_max_sample(evals, rng) >= max(values)
+            assert conditional_max_samples(evals, rng, 1)[0] >= max(values)
 
     def test_validation(self):
         rng = RandomSource(0)
         with pytest.raises(ValueError):
-            conditional_max_sample([(0.0, 0.0)], rng)
+            conditional_max_samples([(0.0, 0.0)], rng, 1)
         with pytest.raises(ValueError):
-            conditional_max_sample([(0.1, 0.0), (1.0, 0.0)], rng)
+            conditional_max_samples([(0.1, 0.0), (1.0, 0.0)], rng, 1)
         with pytest.raises(ValueError):
-            conditional_max_sample([(0.0, 0.0), (0.9, 0.0)], rng)
+            conditional_max_samples([(0.0, 0.0), (0.9, 0.0)], rng, 1)
         with pytest.raises(ValueError):
-            conditional_max_sample([(0.0, 0.0), (0.5, 1.0), (0.5, 1.0), (1.0, 0.0)], rng)
+            conditional_max_samples([(0.0, 0.0), (0.5, 1.0), (0.5, 1.0), (1.0, 0.0)], rng, 1)
         with pytest.raises(ValueError):
             conditional_max_samples([(0.0, 0.0), (1.0, 0.0)], rng, 0)
 
     def test_batched_matches_scalar_stream(self):
         evals = [(0.0, 0.0), (0.25, 0.4), (0.7, -0.1), (1.0, 0.2)]
+        # Row-major draws: one call of 5 equals five calls of 1, bit for bit.
         batch = conditional_max_samples(evals, RandomSource(9), 5)
-        scalar_rng = RandomSource(9)
-        scalar = [conditional_max_sample(evals, scalar_rng) for _ in range(5)]
-        assert batch == pytest.approx(scalar, rel=1e-12)
+        twin = RandomSource(9)
+        singles = [conditional_max_samples(evals, twin, 1)[0] for _ in range(5)]
+        assert batch.tolist() == singles
 
     def test_excess_shrinks_with_refinement(self):
         # Paired across h: the same depth-12 walk thinned to depths 4, 8,
@@ -115,7 +115,7 @@ class TestConditionalMax:
                 times = np.arange(0, 4097, stride) / 4096.0
                 evals = list(zip(times, sub))
                 oracle = RandomSource(derive_seed(derive_seed(47, j), h))
-                m = conditional_max_sample(evals, oracle)
+                m = conditional_max_samples(evals, oracle, 1)[0]
                 assert m >= sub.max()
                 total += m - sub.max()
             means[h] = total / trials
@@ -141,6 +141,42 @@ class TestPacEstimate:
         report = pac_estimate(0.1, trials=40, oracle_draws_per_trial=50, seed=11)
         assert report.violations == 0
         assert report.passed
+
+    def test_blocked_draws_match_one_call(self, monkeypatch):
+        # Runs of a few dozen cells split 2,000 draws into several blocks;
+        # row-major draws make the blocks the rows of one call.
+        epsilon, trials, draws, seed = 0.1, 2, 2000, 8
+        one_call = conditional_max_samples
+        blocks = []
+
+        def record(evaluations, rng, count):
+            blocks.append(one_call(evaluations, rng, count))
+            return blocks[-1]
+
+        monkeypatch.setattr(oob.analysis, "conditional_max_samples", record)
+        report = pac_estimate(epsilon, trials, draws, seed)
+        reference, exceedances = [], 0
+        for j in range(trials):
+            path = new_path(derive_seed(seed, j))
+            m_hat = run_oob_on_path(epsilon, path).m_hat
+            reference.append(one_call(path.evaluations(), path.rng, draws))
+            exceedances += int(np.count_nonzero(reference[-1] - m_hat > epsilon))
+        assert len(blocks) >= 2 * trials
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(reference))
+        assert report.violations == exceedances
+
+    def test_oracle_requests_stay_within_block(self, monkeypatch):
+        requests = []
+        draw = RandomSource.uniforms_open
+
+        def record(self, shape):
+            requests.append(shape)
+            return draw(self, shape)
+
+        monkeypatch.setattr(RandomSource, "uniforms_open", record)
+        pac_estimate(0.1, trials=3, oracle_draws_per_trial=5000, seed=4)
+        assert len(requests) > 3
+        assert max(rows * cells for rows, cells in requests) <= _BLOCK_CELLS
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -323,61 +359,43 @@ class TestEventC:
 
 
 class TestBaseline:
-    def test_single_point_grid(self):
-        result = uniform_grid_baseline(1, 3)
-        w1 = RandomSource(3).normal()
-        assert result.trace == ((1.0, w1),)
-        assert result.n_evals == 1
-        assert result.m_hat == max(0.0, w1)
-        assert result.h_max == -1  # sentinel: no depth cap applies
-        assert math.isnan(result.epsilon)
-
-    def test_grid_times_and_argmax(self):
-        result = uniform_grid_baseline(5, 9)
-        assert [t for t, _ in result.trace] == [0.2, 0.4, 0.6, 0.8, 1.0]
-        values = dict(result.trace)
-        values[0.0] = 0.0
-        assert result.m_hat == max(values.values())
-        assert values[result.t_hat] == result.m_hat
-
-    def test_deterministic(self):
-        assert uniform_grid_baseline(16, 77) == uniform_grid_baseline(16, 77)
-
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 16, 1000])
     def test_batched_walk_matches_lazy_path(self, n):
         # Bit-equal, no tolerance, to a path walked at k/n: every point lies
         # beyond the last stored one, so this pins that branch of evaluate.
         for seed in (0, 1, 2, 77, 2**63 + 5, 2**64 - 1):
             path = new_path(seed)
-            walk = [(k / n, path.evaluate(k / n)) for k in range(1, n + 1)]
-            t_hat, m_hat = 0.0, 0.0
-            for t, w in walk:
-                if w > m_hat:
-                    t_hat, m_hat = t, w
-            result = uniform_grid_baseline(n, seed)
-            assert result.trace == tuple(walk)
-            assert (result.t_hat, result.m_hat) == (t_hat, m_hat)
+            walk = [path.evaluate(k / n) for k in range(1, n + 1)]
+            t, w = _uniform_grid(n, seed)
+            assert t.tolist() == [k / n for k in range(n + 1)]
+            assert w.tolist() == [0.0, *walk]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_oracle_matches_scalar_reference(self, seed):
-        # The scalar oracle over the grid is the exact reference of the
-        # suite's batched one; numpy's log may differ from math.log by 1 ulp.
+        # Reference: the lazily walked path and one bridge_max_sample per
+        # cell from the oracle stream; numpy's scalar and array log may
+        # round differently in the last bit.
         grid_sizes = (16, 64, 256)
         report = baseline_separation(
             grid_sizes=grid_sizes, trials=1, oob_runs=1, seed=seed
         )
         for i, n in enumerate(grid_sizes):
             trial_seed = derive_seed(derive_seed(seed, i), 0)
-            result = uniform_grid_baseline(n, trial_seed)
+            path = new_path(trial_seed)
+            w = [0.0] + [path.evaluate(k / n) for k in range(1, n + 1)]
             oracle = RandomSource(derive_seed(trial_seed, _ORACLE_TAG))
-            m = conditional_max_sample([(0.0, 0.0), *result.trace], oracle)
-            ref = m - result.m_hat
+            m = max(
+                bridge_max_sample(oracle, (k - 1) / n, k / n, w[k - 1], w[k])
+                for k in range(1, n + 1)
+            )
+            ref = m - max(w)
             got = report.metadata["median_errors"][str(n)]
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            uniform_grid_baseline(0, 1)
+        for grid_sizes in ((), (0, 16), (-4,)):
+            with pytest.raises(ValueError, match="positive"):
+                baseline_separation(grid_sizes=grid_sizes, trials=2, oob_runs=2)
 
     def test_separation_smoke(self):
         report = baseline_separation(
@@ -409,20 +427,8 @@ class TestBaseline:
             baseline_separation(epsilons=(), trials=2, oob_runs=2)
         with pytest.raises(ValueError):
             baseline_separation(epsilons=(0.05,), trials=0)
-
-
-class TestComplexityFit:
-    def test_recovers_exact_line(self):
-        eps = [0.1, 0.05, 0.02, 0.01]
-        x = [math.log(1.0 / e) ** 2 for e in eps]
-        y = [3.0 * v + 7.0 for v in x]
-        fit = complexity_fit(eps, y)
-        assert fit["slope"] == pytest.approx(3.0, rel=1e-9)
-        assert fit["intercept"] == pytest.approx(7.0, rel=1e-9)
-        assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            complexity_fit([0.1], [5.0])
-        with pytest.raises(ValueError):
-            complexity_fit([0.1, 0.2], [5.0])
+        # "The smallest grid reaching eps" is the first one only in
+        # increasing order; a repeated size would collapse a level.
+        for grid_sizes in (tuple(2**k for k in range(14, 3, -1)), (16, 64, 64, 256)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                baseline_separation(grid_sizes=grid_sizes, trials=2, oob_runs=2)

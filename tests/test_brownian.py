@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from oob import (
     RandomSource,
     bridge_max_exceed_prob,
-    bridge_max_from_uniform,
     bridge_max_from_uniforms,
     bridge_max_sample,
     derive_seed,
@@ -176,25 +175,25 @@ class TestExceedProb:
 
 class TestBridgeMaxSampler:
     def test_u_one_returns_max_endpoint_exactly(self):
-        assert bridge_max_from_uniform(1.0, 0.0, 0.5, 0.3, -0.1) == 0.3
-        assert bridge_max_from_uniform(1.0, 0.0, 0.5, -0.1, 0.3) == 0.3
-        assert bridge_max_from_uniform(1.0, 0.0, 1.0, -2.0, -2.0) == -2.0
+        assert bridge_max_from_uniforms(1.0, 0.5, 0.3, -0.1) == 0.3
+        assert bridge_max_from_uniforms(1.0, 0.5, -0.1, 0.3) == 0.3
+        assert bridge_max_from_uniforms(1.0, 1.0, -2.0, -2.0) == -2.0
 
     def test_frozen_inversions(self):
         # 0.1 + sqrt(0.04 + 0.25*ln 2)
-        assert bridge_max_from_uniform(0.5, 0.0, 0.5, 0.3, -0.1) == pytest.approx(
+        assert bridge_max_from_uniforms(0.5, 0.5, 0.3, -0.1) == pytest.approx(
             0.56182983353177429, rel=1e-15
         )
         # Inverting the exceedance probability of x=1 recovers x=1.
-        assert bridge_max_from_uniform(
-            math.exp(-2.0), 0.0, 1.0, 0.0, 0.0
-        ) == pytest.approx(1.0, rel=1e-12)
+        assert bridge_max_from_uniforms(math.exp(-2.0), 1.0, 0.0, 0.0) == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     def test_sample_consumes_one_uniform(self):
         rng = RandomSource(55)
         twin = RandomSource(55)
         x = bridge_max_sample(rng, 0.2, 0.7, 0.1, 0.4)
-        assert x == bridge_max_from_uniform(twin.uniform_open(), 0.2, 0.7, 0.1, 0.4)
+        assert x == bridge_max_from_uniforms(twin.uniform_open(), 0.7 - 0.2, 0.1, 0.4)
         assert rng.normal() == twin.normal()  # streams still aligned
 
     def test_sample_dominates_endpoints(self):
@@ -207,10 +206,6 @@ class TestBridgeMaxSampler:
         rng = RandomSource(0)
         with pytest.raises(ValueError):
             bridge_max_sample(rng, 0.5, 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            bridge_max_from_uniform(0.0, 0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            bridge_max_from_uniform(1.1, 0.0, 1.0, 0.0, 0.0)
 
     @given(
         wa=st.floats(-10.0, 10.0),
@@ -231,7 +226,7 @@ class TestBridgeMaxSampler:
         b = min(a + width, 1.0)
         x = max(wa, wb) + excess * math.sqrt(b - a)
         u = bridge_max_exceed_prob(a, b, wa, wb, x)
-        back = bridge_max_from_uniform(u, a, b, wa, wb)
+        back = float(bridge_max_from_uniforms(u, b - a, wa, wb))
         tol = 1e-12 * max(1.0, abs(x))
         slope = u * 2.0 * abs(2.0 * x - wa - wb) / (b - a)
         if slope > 0.0:  # zero only at x = wa = wb, where u = 1 inverts exactly
@@ -239,6 +234,8 @@ class TestBridgeMaxSampler:
         assert abs(back - x) <= tol
 
     def test_vectorized_matches_scalar(self):
+        # Every cell of a broadcast (3, 64) batch inverts the scalar
+        # exceedance law: feeding the result back returns its own u.
         rng = RandomSource(71)
         left = rng.normals(64)
         right = rng.normals(64)
@@ -247,9 +244,9 @@ class TestBridgeMaxSampler:
         batch = bridge_max_from_uniforms(u, lengths, left, right)
         assert batch.shape == (3, 64)
         for r in range(3):
-            for i in range(8):  # spot-check a slice
-                scalar = bridge_max_from_uniform(
-                    float(u[r, i]), 0.0, float(lengths[i]), float(left[i]), float(right[i])
+            for i in range(64):
+                prob = bridge_max_exceed_prob(
+                    0.0, float(lengths[i]), float(left[i]), float(right[i]), float(batch[r, i])
                 )
-                assert batch[r, i] == pytest.approx(scalar, rel=1e-12)
+                assert prob == pytest.approx(u[r, i], rel=1e-12)
         assert np.all(batch >= np.maximum(left, right))
