@@ -100,19 +100,33 @@ class VerificationReport:
         }
 
 
-def _evaluation_arrays(
+def _oracle_cells(
     evaluations: list[tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate an evaluation set covering [0, 1] and split it into arrays."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate an evaluation set covering [0, 1]; return its cells.
+
+    The cells are the consecutive pairs, as (lengths, left values, right
+    values) arrays for :func:`bridge_max_from_uniforms`.
+    """
     if len(evaluations) < 2:
         raise ValueError("need at least the two endpoint evaluations")
     t = np.asarray([point[0] for point in evaluations], dtype=float)
     w = np.asarray([point[1] for point in evaluations], dtype=float)
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("evaluations must start at t=0 and end at t=1")
-    if np.any(np.diff(t) <= 0.0):
+    lengths = np.diff(t)
+    if np.any(lengths <= 0.0):
         raise ValueError("evaluation times must be strictly increasing")
-    return t, w
+    return lengths, w[:-1], w[1:]
+
+
+def _cell_max_samples(
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray], rng: RandomSource, count: int
+) -> np.ndarray:
+    """``count`` draws of M over already validated cells, one uniform per cell each."""
+    lengths, left, right = cells
+    u = rng.uniforms_open((count, len(lengths)))
+    return bridge_max_from_uniforms(u, lengths, left, right).max(axis=1)
 
 
 def conditional_max_samples(
@@ -130,10 +144,7 @@ def conditional_max_samples(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    t, w = _evaluation_arrays(evaluations)
-    u = rng.uniforms_open((count, len(t) - 1))
-    x = bridge_max_from_uniforms(u, np.diff(t), w[:-1], w[1:])
-    return x.max(axis=1)
+    return _cell_max_samples(_oracle_cells(evaluations), rng, count)
 
 
 # Rows per block of oracle draws (:func:`pac_estimate`) and of grid trials
@@ -163,11 +174,11 @@ def pac_estimate(
     for j in range(trials):
         path = new_path(derive_seed(seed, j))
         result = run_oob_on_path(epsilon, path)
-        evaluations = path.evaluations()
+        cells = _oracle_cells(path.evaluations())
         block = max(1, _BLOCK_CELLS // result.n_evals)
         for start in range(0, oracle_draws_per_trial, block):
             count = min(block, oracle_draws_per_trial - start)
-            samples = conditional_max_samples(evaluations, path.rng, count)
+            samples = _cell_max_samples(cells, path.rng, count)
             exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
     total = trials * oracle_draws_per_trial
     rate = exceedances / total

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,14 +103,14 @@ class BrownianPath:
         values.insert(i, w)
         return w
 
-    def _store_fresh(self, points: list[tuple[float, float]]) -> None:
+    def _store_fresh(self, points: Iterable[tuple[float, float]]) -> None:
         """Store (t, W(t)) pairs drawn elsewhere from this path's stream.
 
         The path must hold only W(0) and the times must be new and in
-        (0, 1]; they may come in any order. One sort leaves the path as
-        :meth:`evaluate` would have, had it drawn the same values.
+        (0, 1]; they may come in any order. One sort by time leaves the path
+        as :meth:`evaluate` would have, had it drawn the same values.
         """
-        ordered = sorted(points)
+        ordered = sorted(points, key=itemgetter(0))
         self._times += [t for t, _ in ordered]
         self._values += [w for _, w in ordered]
 

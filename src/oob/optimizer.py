@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brownian import BrownianPath, new_path
+from .brownian import BrownianPath
+# Kept only as the benchmark tracer's hook target until the next benchmark change retires it.
+from .brownian import new_path
+from .rng import RandomSource
 
 __all__ = [
     "MAX_DEPTH",
@@ -88,15 +92,18 @@ class RunResult:
 
 
 def run_oob(epsilon: float, seed: int, *, debug_checks: bool = False) -> RunResult:
-    """Run the optimizer on a fresh path built from ``seed``.
+    """Run the optimizer on a fresh Brownian path built from ``seed``.
 
     Requires 0 < epsilon < 1/2. Identical (epsilon, seed) always produce
-    bit-identical results: the only randomness is the path's own stream,
-    consumed one Gaussian per evaluation in a deterministic order.
+    bit-identical results: the only randomness is ``RandomSource(seed)``,
+    consumed one Gaussian per evaluation in a deterministic order. The
+    result equals that of :func:`run_oob_on_path` on ``new_path(seed)``.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
-    return run_oob_on_path(epsilon, new_path(seed), debug_checks=debug_checks)
+    source = RandomSource(seed)
+    draw, _ = source.normal_feed()  # the source is dropped, so no settle
+    return _search(epsilon, source.seed, draw, debug_checks)
 
 
 def run_oob_on_path(
@@ -105,19 +112,39 @@ def run_oob_on_path(
     """Same loop as :func:`run_oob` on a caller-provided fresh path.
 
     The path must hold only W(0) = 0; one that already holds points is
-    refused with ``ValueError`` before any draw. Queries are t = 1 first,
-    then midpoints of whichever intervals get split, each drawn straight
-    from ``path.rng`` with one Gaussian: W(1) = 0 + z, and for the split
-    of [a, b] at depth h the midpoint value is
+    refused with ``ValueError`` before any draw. The loop draws from
+    ``path.rng`` exactly as :func:`run_oob` draws from its own source, so
+    a fresh path yields exactly the :func:`run_oob` result for its seed.
+    At the end the stream is left one Gaussian per evaluation further on,
+    and the points are written back into the path, which then holds W(0)
+    plus the trace, as if :meth:`BrownianPath.evaluate` had been called in
+    trace order.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+    if path.value_count != 1:
+        raise ValueError(f"path must hold only W(0), got {path.value_count} points")
+    draw, settle = path.rng.normal_feed()
+    result = _search(epsilon, path.seed, draw, debug_checks)
+    settle(result.n_evals)
+    path._store_fresh(result.trace)
+    return result
+
+
+def _search(
+    epsilon: float, seed: int, draw: Callable[[], float], debug_checks: bool
+) -> RunResult:
+    """The splitting loop on standard Gaussians from ``draw``, one per evaluation.
+
+    ``seed`` is only recorded in the result. Queries are t = 1 first, then
+    midpoints of whichever intervals get split: W(1) = 0 + z, and for the
+    split of [a, b] at depth h the midpoint value is
 
         wm = wa + 0.5 * (wb - wa) + sd[h+1] * z,   sd[j] = sqrt(2**-(j+1)).
 
     For dyadic a < t < b, (t-a)/(b-a) is exactly 0.5 and the bridge
     variance exactly 2**-(h+2), so this repeats the arithmetic of
-    :meth:`BrownianPath.evaluate` bit for bit; a fresh path yields exactly
-    the :func:`run_oob` result for its seed. At the end the points are
-    written back into the path, which then holds W(0) plus the trace, as if
-    :meth:`BrownianPath.evaluate` had been called in trace order.
+    :meth:`BrownianPath.evaluate` bit for bit.
 
     The active intervals live in a heap of plain tuples (-B, h, k, wa, wb):
     the interval [k/2**h, (k+1)/2**h] with endpoint values wa, wb and
@@ -132,18 +159,13 @@ def run_oob_on_path(
     selection and the cached bounds against a full scan and checks that
     the intervals partition [0, 1].
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
-    if path.value_count != 1:
-        raise ValueError(f"path must hold only W(0), got {path.value_count} points")
     h_max = compute_h_max(epsilon)
     widths = [eta(epsilon, 2.0 ** -h) for h in range(h_max + 1)]
     sd = [math.sqrt(2.0 ** -(j + 1)) for j in range(h_max + 1)]
     cap = 1 << (h_max + 1)
-    normal = path.rng.normal
 
     w0 = 0.0  # W(0) = 0, never a draw
-    w1 = 0.0 + normal()  # past the last point s = 0: mean W(0), variance 1 - 0
+    w1 = 0.0 + draw()  # past the last point s = 0: mean W(0), variance 1 - 0
     trace = [(1.0, w1)]
     t_hat, m_hat = (1.0, w1) if w1 > w0 else (0.0, w0)
     heap = [(-((w1 if w1 > w0 else w0) + widths[0]), 0, 0, w0, w1)]
@@ -157,7 +179,7 @@ def run_oob_on_path(
         h += 1
         k *= 2
         t = math.ldexp(k + 1, -h)  # midpoint of the selected interval
-        wm = wa + 0.5 * (wb - wa) + sd[h] * normal()
+        wm = wa + 0.5 * (wb - wa) + sd[h] * draw()
         trace.append((t, wm))
         if wm > m_hat:
             t_hat, m_hat = t, wm
@@ -169,8 +191,6 @@ def run_oob_on_path(
             f"evaluation count exceeded the termination cap {cap}; "
             "this indicates a defect in the split or stop logic"
         )
-
-    path._store_fresh(trace)
     return RunResult(
         epsilon=epsilon,
         t_hat=t_hat,
@@ -178,7 +198,7 @@ def run_oob_on_path(
         n_evals=len(trace),
         h_max=h_max,
         trace=tuple(trace),
-        seed=path.seed,
+        seed=seed,
     )
 
 

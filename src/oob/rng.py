@@ -13,6 +13,9 @@ can run in any order, or in parallel, without changing results.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from itertools import chain, count
+
 import numpy as np
 
 __all__ = ["MASK64", "RandomSource", "derive_seed", "splitmix64"]
@@ -22,6 +25,11 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Batch sizes of :meth:`RandomSource.normal_feed`: 128, 256, 512, ... A run
+# that needs n draws takes about log2(n / 128) batches and draws fewer than
+# 2n + 128 variates in all.
+_FEED_FIRST_BATCH = 128
 
 
 def splitmix64(value: int) -> int:
@@ -69,7 +77,10 @@ class RandomSource:
     ``log(u)`` is always finite.
 
     Two sources built from equal seeds produce identical sequences. Scalar
-    and batch calls draw the same underlying variates from one stream.
+    and batch calls draw the same underlying variates from one stream: the
+    values of ``normals(n)`` are those of n ``normal()`` calls, and either
+    leaves the stream at the same place (likewise for uniforms). The
+    optimizer relies on this through :meth:`normal_feed`.
     """
 
     __slots__ = ("seed", "_gen")
@@ -84,6 +95,34 @@ class RandomSource:
     def normal(self) -> float:
         """One standard Gaussian draw."""
         return float(self._gen.standard_normal())
+
+    def normal_feed(self) -> tuple[Callable[[], float], Callable[[int], None]]:
+        """Scalar Gaussians drawn in batches: ``draw, settle = source.normal_feed()``.
+
+        Successive ``draw()`` values are bit-identical to successive
+        :meth:`normal` calls; they are taken from batches of 128, 256, 512,
+        ... variates, so most calls are a C-level list step instead of a
+        numpy call. The batches run ahead of what is used. ``settle(used)``
+        rewinds the stream to where it was when the feed was made and redraws
+        ``used`` variates in one call, which leaves the source exactly where
+        ``used`` calls of :meth:`normal` would have. The ziggurat consumes a
+        variable number of 64-bit words per Gaussian, so the surplus cannot
+        be handed back by advancing the bit generator.
+
+        While a feed is in use the source must make no other draw, and after
+        ``settle`` the feed must not be drawn from again. A caller that never
+        draws from the source afterwards may skip ``settle``.
+        """
+        bit_generator = self._gen.bit_generator
+        saved = bit_generator.state
+        batches = (self.normals(_FEED_FIRST_BATCH << i).tolist() for i in count())
+        draw = chain.from_iterable(batches).__next__
+
+        def settle(used: int) -> None:
+            bit_generator.state = saved
+            self.normals(used)
+
+        return draw, settle
 
     def uniform_open(self) -> float:
         """One uniform draw on (0, 1]."""

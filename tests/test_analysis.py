@@ -147,14 +147,17 @@ class TestPacEstimate:
         # row-major draws make the blocks the rows of one call.
         epsilon, trials, draws, seed = 0.1, 2, 2000, 8
         one_call = conditional_max_samples
+        invert = oob.analysis.bridge_max_from_uniforms
         blocks = []
 
-        def record(evaluations, rng, count):
-            blocks.append(one_call(evaluations, rng, count))
-            return blocks[-1]
+        def record(u, lengths, left, right):
+            cell_max = invert(u, lengths, left, right)
+            blocks.append(cell_max.max(axis=1))
+            return cell_max
 
-        monkeypatch.setattr(oob.analysis, "conditional_max_samples", record)
+        monkeypatch.setattr(oob.analysis, "bridge_max_from_uniforms", record)
         report = pac_estimate(epsilon, trials, draws, seed)
+        monkeypatch.undo()  # the reference draws below go unrecorded
         reference, exceedances = [], 0
         for j in range(trials):
             path = new_path(derive_seed(seed, j))

@@ -154,7 +154,7 @@ class TestRunLoop:
         # The loop draws each midpoint in closed form; the general lazy
         # sampler queried at the same times in the same order must give
         # the same values, leave the same stored points and the stream at
-        # the same place.
+        # the same place, for Gaussians and for the uniforms pac draws next.
         path = new_path(seed)
         result = run_oob_on_path(epsilon, path)
         reference = new_path(seed)
@@ -162,7 +162,23 @@ class TestRunLoop:
             w for _, w in result.trace
         ]
         assert path.evaluations() == reference.evaluations()
+        assert list(path.rng.uniforms_open(8)) == list(reference.rng.uniforms_open(8))
         assert path.rng.normal() == reference.rng.normal()
+
+    def test_run_makes_no_scalar_draws(self, monkeypatch):
+        # run_oob takes its Gaussians from the batched feed, never one
+        # normal() call per evaluation.
+        calls = []
+        scalar = RandomSource.normal
+
+        def record(self):
+            calls.append(self.seed)
+            return scalar(self)
+
+        monkeypatch.setattr(RandomSource, "normal", record)
+        result = run_oob(0.01, 4)
+        assert result.n_evals > 128
+        assert calls == []
 
     @pytest.mark.parametrize("epsilon,seed", [(0.1, 5), (0.05, 12)])
     def test_selection_replay(self, epsilon, seed):
