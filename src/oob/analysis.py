@@ -23,11 +23,13 @@ from statistics import median
 
 import numpy as np
 
-from .brownian import bridge_max_from_uniforms, new_path
-# Kept only as the benchmark tracer's hook target until the next benchmark change retires it.
-from .brownian import bridge_max_sample
-from .optimizer import eta, run_oob, run_oob_on_path
+from .brownian import bridge_max_from_uniforms
+from .optimizer import eta, run_oob
 from .rng import RandomSource, derive_seed
+
+# Kept only as the benchmark tracer's hook targets until the next benchmark change retires them.
+from .brownian import bridge_max_sample, new_path
+from .optimizer import run_oob_on_path
 
 __all__ = [
     "MAX_GRID_DEPTH",
@@ -158,9 +160,11 @@ def pac_estimate(
 ) -> VerificationReport:
     """Estimate the probability that a run's answer is more than epsilon low.
 
-    Per trial: one optimizer run on a fresh path, then
+    Per trial: one :func:`run_oob` on the trial seed, then
     ``oracle_draws_per_trial`` conditional draws of M given that run's
-    final evaluation set (continuing the trial path's own stream). Each
+    evaluation set, W(0) = 0 plus the trace. The draws continue the
+    trial's own stream: a fresh source of the trial seed skips the run's
+    ``n_evals`` Gaussians, which is where the run left it. Each
     draw with M - m_hat > epsilon counts as an exceedance. The claimed
     bound is that the exceedance probability is at most epsilon; the
     report passes when the empirical rate is within one Wilson 95%
@@ -172,13 +176,15 @@ def pac_estimate(
         raise ValueError("trials and oracle_draws_per_trial must be >= 1")
     exceedances = 0
     for j in range(trials):
-        path = new_path(derive_seed(seed, j))
-        result = run_oob_on_path(epsilon, path)
-        cells = _oracle_cells(path.evaluations())
+        trial_seed = derive_seed(seed, j)
+        result = run_oob(epsilon, trial_seed)
+        rng = RandomSource(trial_seed)
+        rng.normals(result.n_evals)
+        cells = _oracle_cells([(0.0, 0.0), *sorted(result.trace)])
         block = max(1, _BLOCK_CELLS // result.n_evals)
         for start in range(0, oracle_draws_per_trial, block):
             count = min(block, oracle_draws_per_trial - start)
-            samples = _cell_max_samples(cells, path.rng, count)
+            samples = _cell_max_samples(cells, rng, count)
             exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
     total = trials * oracle_draws_per_trial
     rate = exceedances / total

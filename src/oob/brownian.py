@@ -44,9 +44,8 @@ class BrownianPath:
     Holds the sorted set of evaluated times with their values, plus the
     :class:`RandomSource` that produced them. Re-querying a stored time
     returns the stored value and consumes no randomness. The source is
-    exposed as ``rng`` so a harness can continue the same stream for
-    auxiliary draws after a run (for instance conditional maximum
-    sampling over the final evaluation set).
+    exposed as ``rng`` so a caller can continue the same stream for
+    auxiliary draws after a run.
     """
 
     __slots__ = ("rng", "_times", "_values")

@@ -94,45 +94,37 @@ class RunResult:
 def run_oob(epsilon: float, seed: int, *, debug_checks: bool = False) -> RunResult:
     """Run the optimizer on a fresh Brownian path built from ``seed``.
 
-    Requires 0 < epsilon < 1/2. Identical (epsilon, seed) always produce
-    bit-identical results: the only randomness is ``RandomSource(seed)``,
-    consumed one Gaussian per evaluation in a deterministic order. The
-    result equals that of :func:`run_oob_on_path` on ``new_path(seed)``.
+    Requires 0 < epsilon < 1/2, else ``ValueError`` before any draw.
+    Identical (epsilon, seed) always produce bit-identical results: the
+    only randomness is ``RandomSource(seed)``, consumed one Gaussian per
+    evaluation in a deterministic order. The result equals that of
+    :func:`run_oob_on_path` on ``new_path(seed)``.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
     source = RandomSource(seed)
-    draw, _ = source.normal_feed()  # the source is dropped, so no settle
-    return _search(epsilon, source.seed, draw, debug_checks)
+    return _search(epsilon, source.seed, source.normal_feed(), debug_checks)
 
 
-def run_oob_on_path(
-    epsilon: float, path: BrownianPath, *, debug_checks: bool = False
-) -> RunResult:
+def run_oob_on_path(epsilon: float, path: BrownianPath) -> RunResult:
     """Same loop as :func:`run_oob` on a caller-provided fresh path.
 
-    The path must hold only W(0) = 0; one that already holds points is
-    refused with ``ValueError`` before any draw. The loop draws from
-    ``path.rng`` exactly as :func:`run_oob` draws from its own source, so
-    a fresh path yields exactly the :func:`run_oob` result for its seed.
-    At the end the stream is left one Gaussian per evaluation further on,
-    and the points are written back into the path, which then holds W(0)
-    plus the trace, as if :meth:`BrownianPath.evaluate` had been called in
-    trace order.
+    The scalar reference for :func:`run_oob`'s batched draws: the path must
+    hold only W(0) = 0, one that already holds points is refused with
+    ``ValueError`` before any draw, and the loop then takes one
+    ``path.rng.normal()`` per evaluation, so a fresh path yields exactly
+    the :func:`run_oob` result for its seed and its stream is left one
+    Gaussian per evaluation further on. The points are written back into
+    the path, which then holds W(0) plus the trace, as if
+    :meth:`BrownianPath.evaluate` had been called in trace order.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
     if path.value_count != 1:
         raise ValueError(f"path must hold only W(0), got {path.value_count} points")
-    draw, settle = path.rng.normal_feed()
-    result = _search(epsilon, path.seed, draw, debug_checks)
-    settle(result.n_evals)
+    result = _search(epsilon, path.seed, path.rng.normal)
     path._store_fresh(result.trace)
     return result
 
 
 def _search(
-    epsilon: float, seed: int, draw: Callable[[], float], debug_checks: bool
+    epsilon: float, seed: int, draw: Callable[[], float], debug_checks: bool = False
 ) -> RunResult:
     """The splitting loop on standard Gaussians from ``draw``, one per evaluation.
 

@@ -96,33 +96,19 @@ class RandomSource:
         """One standard Gaussian draw."""
         return float(self._gen.standard_normal())
 
-    def normal_feed(self) -> tuple[Callable[[], float], Callable[[int], None]]:
-        """Scalar Gaussians drawn in batches: ``draw, settle = source.normal_feed()``.
+    def normal_feed(self) -> Callable[[], float]:
+        """Scalar Gaussians drawn in batches: ``draw = source.normal_feed()``.
 
         Successive ``draw()`` values are bit-identical to successive
         :meth:`normal` calls; they are taken from batches of 128, 256, 512,
         ... variates, so most calls are a C-level list step instead of a
-        numpy call. The batches run ahead of what is used. ``settle(used)``
-        rewinds the stream to where it was when the feed was made and redraws
-        ``used`` variates in one call, which leaves the source exactly where
-        ``used`` calls of :meth:`normal` would have. The ziggurat consumes a
-        variable number of 64-bit words per Gaussian, so the surplus cannot
-        be handed back by advancing the bit generator.
-
-        While a feed is in use the source must make no other draw, and after
-        ``settle`` the feed must not be drawn from again. A caller that never
-        draws from the source afterwards may skip ``settle``.
+        numpy call. The batches run ahead of what is used, so the source's
+        stream is left at no defined place: a caller that needs the stream
+        past the first n draws rebuilds the source from its seed and skips
+        ``normals(n)``.
         """
-        bit_generator = self._gen.bit_generator
-        saved = bit_generator.state
         batches = (self.normals(_FEED_FIRST_BATCH << i).tolist() for i in count())
-        draw = chain.from_iterable(batches).__next__
-
-        def settle(used: int) -> None:
-            bit_generator.state = saved
-            self.normals(used)
-
-        return draw, settle
+        return chain.from_iterable(batches).__next__
 
     def uniform_open(self) -> float:
         """One uniform draw on (0, 1]."""

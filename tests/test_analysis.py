@@ -9,6 +9,7 @@ import pytest
 
 import oob.analysis
 from oob import (
+    BrownianPath,
     RandomSource,
     baseline_separation,
     bridge_max_from_uniforms,
@@ -142,10 +143,14 @@ class TestPacEstimate:
         assert report.violations == 0
         assert report.passed
 
-    def test_blocked_draws_match_one_call(self, monkeypatch):
-        # Runs of a few dozen cells split 2,000 draws into several blocks;
-        # row-major draws make the blocks the rows of one call.
-        epsilon, trials, draws, seed = 0.1, 2, 2000, 8
+    @pytest.mark.parametrize("epsilon", [0.1, 0.01])
+    def test_blocked_draws_match_one_call(self, monkeypatch, epsilon):
+        # Runs of a few dozen (eps 0.1) or several hundred (eps 0.01) cells
+        # split 2,000 draws into several blocks; row-major draws make the
+        # blocks the rows of one call. The reference continues the stream of
+        # a path the scalar loop ran on, not a rebuilt source, so a pac that
+        # skips the wrong number of Gaussians fails here.
+        trials, draws, seed = 2, 2000, 8
         one_call = conditional_max_samples
         invert = oob.analysis.bridge_max_from_uniforms
         blocks = []
@@ -167,6 +172,20 @@ class TestPacEstimate:
         assert len(blocks) >= 2 * trials
         assert np.array_equal(np.concatenate(blocks), np.concatenate(reference))
         assert report.violations == exceedances
+
+    def test_builds_no_path(self, monkeypatch):
+        # pac takes the run from run_oob and continues the trial's stream
+        # from its seed; no per-trial BrownianPath is built.
+        built = []
+        init = BrownianPath.__init__
+
+        def record(self, rng):
+            built.append(rng.seed)
+            init(self, rng)
+
+        monkeypatch.setattr(BrownianPath, "__init__", record)
+        pac_estimate(0.1, 3, 50, 0)
+        assert built == []
 
     def test_oracle_requests_stay_within_block(self, monkeypatch):
         requests = []
