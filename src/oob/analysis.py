@@ -25,7 +25,7 @@ import numpy as np
 
 from .brownian import bridge_max_from_uniforms
 from .optimizer import eta, run_oob
-from .rng import RandomSource, derive_seed
+from .rng import RandomSource, derive_seed, sources
 
 # Kept only as the benchmark tracer's hook targets until the next benchmark change retires them.
 from .brownian import bridge_max_sample, new_path
@@ -220,8 +220,11 @@ def _grid_blocks(
     """W on the depth-``depth`` dyadic grid plus one exact sup draw per cell.
 
     Yields ``(w, sups)`` for consecutive blocks of trials, in trial order.
-    Row i of a block is trial j: its own ``RandomSource(derive_seed(seed,
-    j))`` draws ``normals(2**depth)`` and then ``uniforms_open(2**depth)``.
+    Row i of a block is trial j: its own stream, that of
+    ``RandomSource(derive_seed(seed, j))``, draws ``normals(2**depth)`` and
+    then ``uniforms_open(2**depth)``. The trial sources come from
+    :func:`~oob.rng.sources`, which seeds them in chunks of trials that do
+    not depend on the blocks; each trial's stream is unchanged by that.
     ``w`` has shape ``(rows, 2**depth + 1)`` with ``w[:, 0] = 0`` and the
     in-order sums of the Gaussians scaled by ``sqrt(2**-depth)`` after the
     sum; ``sups`` has shape ``(rows, 2**depth)``, cell k's sup drawn from
@@ -231,12 +234,12 @@ def _grid_blocks(
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, _BLOCK_CELLS >> depth)
+    streams = sources(derive_seed(seed, j) for j in range(trials))
     for start in range(0, trials, block):
         rows = min(block, trials - start)
         z = np.empty((rows, n))
         u = np.empty((rows, n))
-        for i in range(rows):
-            rng = RandomSource(derive_seed(seed, start + i))
+        for i, rng in zip(range(rows), streams):
             z[i] = rng.normals(n)
             u[i] = rng.uniforms_open(n)
         w = np.zeros((rows, n + 1))

@@ -333,6 +333,29 @@ class TestLemma3:
             lemma3_mc(h, eta_value, trials=2, seed=0)
 
 
+class TestGridStreams:
+    def test_builds_no_source_through_constructor(self, monkeypatch):
+        # The grid suites seed their trial streams through rng.sources,
+        # one hash pass per chunk of trials.
+        built = []
+        init = RandomSource.__init__
+
+        def record(self, seed):
+            built.append(seed)
+            init(self, seed)
+
+        monkeypatch.setattr(RandomSource, "__init__", record)
+        lemma3_mc(6, 0.1, 60, 3)
+        event_c_check(0.5, 4, 50, 3)
+        assert built == []
+
+    def test_hashes_once_across_blocks(self, hash_calls):
+        # At h = 15 a block holds one trial; the seeds are hashed in one
+        # chunk all the same.
+        lemma3_mc(15, 0.02, 40, 5)
+        assert hash_calls == [40]
+
+
 class TestEventC:
     def test_paired_monotone_in_epsilon(self):
         # Same seed means identical walks and sup draws; shrinking epsilon
