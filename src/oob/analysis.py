@@ -24,7 +24,7 @@ from statistics import median
 import numpy as np
 
 from .brownian import bridge_max_from_uniforms
-from .optimizer import eta, run_oob
+from .optimizer import compute_h_max, eta, run_oob
 from .rng import RandomSource, derive_seed, sources
 
 # Kept only as the benchmark tracer's hook targets until the next benchmark change retires them.
@@ -50,9 +50,12 @@ Z95 = 1.959963984540054
 _ORACLE_TAG = 0x6F7261636C65  # "oracle"
 _RUNNER_TAG = 0x72756E6E6572  # "runner"
 
+# Cost ratio the baseline suite requires at its smallest epsilon.
+_MIN_FACTOR = 3.0
 
-def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion.
 
     Stays valid near 0 and 1 where the normal-approximation interval
     collapses, which matters here because several bounds under test are
@@ -63,10 +66,10 @@ def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt((p * (1.0 - p) + z2 / (4.0 * trials)) / trials) / denom
+    half = Z95 * math.sqrt((p * (1.0 - p) + z2 / (4.0 * trials)) / trials) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -74,20 +77,23 @@ def wilson_ci(successes: int, trials: int, z: float = Z95) -> tuple[float, float
 class VerificationReport:
     """Summary of one Monte Carlo suite.
 
-    ``violations / trials`` always equals ``empirical_rate``; what counts
-    as a trial and a violation is suite-specific and recorded in
-    ``metadata`` together with the exact comparison that decided
+    What counts as a trial and a violation is suite-specific and recorded
+    in ``metadata`` together with the exact comparison that decided
     ``passed``. ``wilson_upper_95`` is None for suites whose verdict is
     not a binomial-rate comparison.
     """
 
     trials: int
     violations: int
-    empirical_rate: float
     bound: float
     wilson_upper_95: float | None
     passed: bool
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def empirical_rate(self) -> float:
+        """``violations / trials``."""
+        return self.violations / self.trials
 
     def to_json_dict(self) -> dict:
         """Flat dict with stable key order for serialization."""
@@ -149,6 +155,24 @@ def conditional_max_samples(
     return _cell_max_samples(_oracle_cells(evaluations), rng, count)
 
 
+def _rate_report(trials: int, violations: int, bound: float, metadata: dict) -> VerificationReport:
+    """Report of a rate suite: passes when the empirical rate is within one
+    Wilson 95% half-width of ``bound``; ``metadata`` gains the comparison."""
+    rate = violations / trials
+    upper = wilson_ci(violations, trials)[1]
+    return VerificationReport(
+        trials=trials,
+        violations=violations,
+        bound=bound,
+        wilson_upper_95=upper,
+        passed=rate <= bound + (upper - rate),
+        metadata={
+            **metadata,
+            "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
+        },
+    )
+
+
 # Rows per block of oracle draws (:func:`pac_estimate`) and of grid trials
 # (:func:`_grid_blocks`) are chosen so that one block holds about this many
 # cells, which bounds the working set at any draw or trial count.
@@ -186,24 +210,16 @@ def pac_estimate(
             count = min(block, oracle_draws_per_trial - start)
             samples = _cell_max_samples(cells, rng, count)
             exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
-    total = trials * oracle_draws_per_trial
-    rate = exceedances / total
-    upper = wilson_ci(exceedances, total)[1]
-    slack = upper - rate
-    return VerificationReport(
-        trials=total,
-        violations=exceedances,
-        empirical_rate=rate,
-        bound=epsilon,
-        wilson_upper_95=upper,
-        passed=rate <= epsilon + slack,
-        metadata={
+    return _rate_report(
+        trials * oracle_draws_per_trial,
+        exceedances,
+        epsilon,
+        {
             "suite": "pac",
             "epsilon": epsilon,
             "runs": trials,
             "oracle_draws_per_run": oracle_draws_per_trial,
             "seed": seed,
-            "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
         },
     )
 
@@ -288,11 +304,9 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     )
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    total = int(counts.sum())
     return VerificationReport(
         trials=trials,
-        violations=total,
-        empirical_rate=total / trials,
+        violations=int(counts.sum()),
         bound=bound,
         wilson_upper_95=None,
         passed=mean + 3.0 * std_error <= bound,
@@ -349,18 +363,11 @@ def event_c_check(
             if h:
                 level = np.maximum(level[:, 0::2], level[:, 1::2])
         violations += int(np.count_nonzero(bad))
-    rate = violations / trials
-    bound = epsilon**5
-    upper = wilson_ci(violations, trials)[1]
-    slack = upper - rate
-    return VerificationReport(
-        trials=trials,
-        violations=violations,
-        empirical_rate=rate,
-        bound=bound,
-        wilson_upper_95=upper,
-        passed=rate <= bound + slack,
-        metadata={
+    return _rate_report(
+        trials,
+        violations,
+        epsilon**5,
+        {
             "suite": "eventc",
             "epsilon": epsilon,
             "check_depth": check_depth,
@@ -369,7 +376,6 @@ def event_c_check(
                 "intervals of depth <= check_depth only; the empirical rate "
                 "lower-bounds the untruncated violation probability"
             ),
-            "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
         },
     )
 
@@ -393,7 +399,6 @@ def baseline_separation(
     grid_sizes: tuple[int, ...] = tuple(2**k for k in range(4, 15)),
     trials: int = 101,
     oob_runs: int = 200,
-    min_factor: float = 3.0,
     seed: int = 0,
 ) -> VerificationReport:
     """Compare grid sizes needed for target error against optimizer cost.
@@ -408,12 +413,14 @@ def baseline_separation(
     median error is <= epsilon is divided by the optimizer's mean
     evaluation count at that epsilon. The suite passes when every target
     is reachable, the cost ratio strictly grows as epsilon shrinks, and
-    the ratio at the smallest epsilon is at least ``min_factor``. One
-    violation is counted per epsilon level that breaks its part of that
-    contract.
+    the ratio at the smallest epsilon is at least 3. One violation is
+    counted per epsilon level that breaks its part of that contract. An
+    epsilon that :func:`run_oob` would refuse is refused before any draw.
     """
-    if len(epsilons) < 1 or any(not 0.0 < e < 0.5 for e in epsilons):
-        raise ValueError("epsilons must be non-empty with each in (0, 1/2)")
+    if len(epsilons) < 1:
+        raise ValueError("epsilons must be non-empty")
+    for epsilon in epsilons:
+        compute_h_max(epsilon)
     if any(epsilons[i + 1] >= epsilons[i] for i in range(len(epsilons) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
     if len(grid_sizes) < 1 or any(n < 1 for n in grid_sizes):
@@ -455,14 +462,12 @@ def baseline_separation(
             previous = ratios[level - 1]
             failed = previous is None or ratio <= previous
         if not failed and level == len(epsilons) - 1:
-            failed = ratio < min_factor
+            failed = ratio < _MIN_FACTOR
         violations += failed
-    levels = len(epsilons)
     return VerificationReport(
-        trials=levels,
+        trials=len(epsilons),
         violations=violations,
-        empirical_rate=violations / levels,
-        bound=min_factor,
+        bound=_MIN_FACTOR,
         wilson_upper_95=None,
         passed=violations == 0,
         metadata={

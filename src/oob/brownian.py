@@ -129,10 +129,10 @@ def bridge_max_exceed_prob(a: float, b: float, wa: float, wb: float, x: float) -
 
     Returns exp(-2 (x - wa)(x - wb) / (b - a)). The closed form only holds
     for x at or above both endpoint values; below them the probability is
-    not given by this expression, so such x is rejected.
+    not given by this expression, so such x is rejected, as is a NaN.
     """
     _check_interval(a, b)
-    if x < max(wa, wb):
+    if not (x >= wa and x >= wb):
         raise ValueError(
             f"x must be >= max(wa, wb) = {max(wa, wb)}, got {x}: "
             "the exceedance law is invalid below the endpoints"

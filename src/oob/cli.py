@@ -22,7 +22,7 @@ from .analysis import (
     lemma3_mc,
     pac_estimate,
 )
-from .optimizer import RunResult, run_oob
+from .optimizer import RunResult, compute_h_max, run_oob
 from .rng import MASK64, derive_seed
 
 __all__ = ["CSV_HEADER", "main", "run_sweep"]
@@ -37,8 +37,11 @@ def run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> list[RunRe
 
     Trial j uses the derived seed ``derive_seed(seed, j)`` at every epsilon,
     so runs are paired across epsilon levels and reproducible one-by-one
-    with ``run --epsilon E --seed <row seed>``.
+    with ``run --epsilon E --seed <row seed>``. An epsilon that
+    :func:`run_oob` would refuse is refused before any draw.
     """
+    for epsilon in epsilons:
+        compute_h_max(epsilon)
     return [run_oob(epsilon, derive_seed(seed, j)) for epsilon in epsilons for j in range(trials)]
 
 

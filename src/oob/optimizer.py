@@ -20,7 +20,6 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .brownian import BrownianPath
 # Kept only as the benchmark tracer's hook target until the next benchmark change retires it.
@@ -46,13 +45,13 @@ def eta(epsilon: float, delta: float) -> float:
 
     Defined only for positive arguments with epsilon*delta <= 1/2 (at
     equality the log argument is 4, still positive, so the boundary is
-    allowed).
+    allowed) and not underflowing to 0, where the log has no value.
     """
     if epsilon <= 0.0 or delta <= 0.0:
         raise ValueError(f"epsilon and delta must be positive, got {epsilon}, {delta}")
     prod = epsilon * delta
-    if prod > 0.5:
-        raise ValueError(f"need epsilon*delta <= 1/2, got {prod}")
+    if not 0.0 < prod <= 0.5:
+        raise ValueError(f"need 0 < epsilon*delta <= 1/2, got {prod}")
     return math.sqrt(2.5 * delta * math.log(2.0 / prod))
 
 
@@ -61,14 +60,19 @@ def compute_h_max(epsilon: float) -> int:
 
     Scans linearly from h = 0 rather than bisecting: eta is not assumed
     monotone in the depth. Requires 0 < epsilon < 1/2, which makes
-    epsilon * 2**-h <= 1/2 valid at every depth.
+    epsilon * 2**-h <= 1/2 valid at every depth, and epsilon >= about
+    1.146e-8, the smallest epsilon that some depth h <= ``MAX_DEPTH``
+    reaches. Any other epsilon raises ``ValueError``.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
     for h in range(MAX_DEPTH + 1):
         if eta(epsilon, 2.0 ** -h) <= epsilon:
             return h
-    raise RuntimeError(f"no depth h <= {MAX_DEPTH} has eta(epsilon, 2**-h) <= epsilon")
+    raise ValueError(
+        f"epsilon {epsilon} is too small: no depth h <= {MAX_DEPTH} has "
+        "eta(epsilon, 2**-h) <= epsilon (the smallest is about 1.146e-8)"
+    )
 
 
 @dataclass(frozen=True)
@@ -91,17 +95,18 @@ class RunResult:
     seed: int
 
 
-def run_oob(epsilon: float, seed: int, *, debug_checks: bool = False) -> RunResult:
+def run_oob(epsilon: float, seed: int) -> RunResult:
     """Run the optimizer on a fresh Brownian path built from ``seed``.
 
-    Requires 0 < epsilon < 1/2, else ``ValueError`` before any draw.
-    Identical (epsilon, seed) always produce bit-identical results: the
-    only randomness is ``RandomSource(seed)``, consumed one Gaussian per
-    evaluation in a deterministic order. The result equals that of
+    Requires an epsilon that :func:`compute_h_max` accepts, else
+    ``ValueError`` before any draw. Identical (epsilon, seed) always
+    produce bit-identical results: the only randomness is
+    ``RandomSource(seed)``, consumed one Gaussian per evaluation in a
+    deterministic order. The result equals that of
     :func:`run_oob_on_path` on ``new_path(seed)``.
     """
     source = RandomSource(seed)
-    return _search(epsilon, source.seed, source.normal_feed(), debug_checks)
+    return _search(epsilon, source.seed, source.normal_feed())
 
 
 def run_oob_on_path(epsilon: float, path: BrownianPath) -> RunResult:
@@ -123,9 +128,7 @@ def run_oob_on_path(epsilon: float, path: BrownianPath) -> RunResult:
     return result
 
 
-def _search(
-    epsilon: float, seed: int, draw: Callable[[], float], debug_checks: bool = False
-) -> RunResult:
+def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
     """The splitting loop on standard Gaussians from ``draw``, one per evaluation.
 
     ``seed`` is only recorded in the result. Queries are t = 1 first, then
@@ -147,9 +150,7 @@ def _search(
     and the whole trajectory is deterministic. The loop stops when the
     selected interval has widths[h] <= epsilon; other intervals are not
     consulted for stopping, and no interval deeper than h_max is ever
-    selected. With ``debug_checks`` every iteration re-verifies the
-    selection and the cached bounds against a full scan and checks that
-    the intervals partition [0, 1].
+    selected.
     """
     h_max = compute_h_max(epsilon)
     widths = [eta(epsilon, 2.0 ** -h) for h in range(h_max + 1)]
@@ -163,8 +164,6 @@ def _search(
     heap = [(-((w1 if w1 > w0 else w0) + widths[0]), 0, 0, w0, w1)]
 
     for _ in range(cap):
-        if debug_checks:
-            _check_state(heap, widths)
         _, h, k, wa, wb = heap[0]
         if widths[h] <= epsilon:
             break
@@ -192,23 +191,3 @@ def _search(
         trace=tuple(trace),
         seed=seed,
     )
-
-
-def _check_state(
-    heap: list[tuple[float, int, int, float, float]], widths: list[float]
-) -> None:
-    """Debug scan: heap front is the true argmax, every cached bound matches
-    its endpoints, and the intervals tile [0, 1]."""
-    front = min(entry[:3] for entry in heap)
-    if heap[0][:3] != front:
-        raise AssertionError(f"heap front {heap[0][:3]} is not the selection {front}")
-    for neg_b, h, k, wa, wb in heap:
-        if -neg_b != max(wa, wb) + widths[h]:
-            raise AssertionError(f"stale bound at interval (h={h}, k={k})")
-    seen = Fraction(0)
-    for start, h, k in sorted((Fraction(k, 1 << h), h, k) for _, h, k, _, _ in heap):
-        if start != seen:
-            raise AssertionError(f"gap or overlap at interval (h={h}, k={k})")
-        seen += Fraction(1, 1 << h)
-    if seen != 1:
-        raise AssertionError(f"interval set covers {seen}, expected 1")

@@ -468,6 +468,15 @@ class TestBaseline:
     def test_separation_validation(self):
         with pytest.raises(ValueError):
             baseline_separation(epsilons=(0.01, 0.05), trials=2, oob_runs=2)
+
+    def test_unreachable_epsilon_refused_before_any_draw(self, monkeypatch):
+        def drew(*args):
+            raise AssertionError("drew before refusing the epsilons")
+
+        monkeypatch.setattr(oob.analysis, "_uniform_grid", drew)
+        monkeypatch.setattr(oob.analysis, "run_oob", drew)
+        with pytest.raises(ValueError, match="too small"):
+            baseline_separation(epsilons=(0.05, 1e-9), trials=2, oob_runs=2)
         with pytest.raises(ValueError):
             baseline_separation(epsilons=(), trials=2, oob_runs=2)
         with pytest.raises(ValueError):

@@ -14,13 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oob import (
+    BrownianPath,
     RandomSource,
     bridge_max_exceed_prob,
     bridge_max_from_uniforms,
     bridge_max_sample,
     derive_seed,
     new_path,
+    sources,
 )
+
+
+def _paths(seed, n):
+    """``new_path(derive_seed(seed, j))`` for j < n, seeded in batches."""
+    return (BrownianPath(src) for src in sources(derive_seed(seed, j) for j in range(n)))
 
 
 class TestPathBasics:
@@ -79,9 +86,7 @@ class TestPathDistribution:
         # moment checks at 3 standard errors.
         scipy_stats = pytest.importorskip("scipy.stats")
         n = 100_000
-        draws = np.array(
-            [new_path(derive_seed(31, j)).evaluate(1.0) for j in range(n)]
-        )
+        draws = np.array([path.evaluate(1.0) for path in _paths(31, n)])
         assert scipy_stats.kstest(draws, "norm").pvalue > 0.01
         assert abs(draws.mean()) <= 3.0 / math.sqrt(n)
         assert abs(draws.var(ddof=1) - 1.0) <= 3.0 * math.sqrt(2.0 / n)
@@ -90,8 +95,7 @@ class TestPathDistribution:
         # W(1/2) - W(1)/2 is N(0, 1/4) regardless of the endpoint draw.
         n = 100_000
         dev = np.empty(n)
-        for j in range(n):
-            path = new_path(derive_seed(29, j))
+        for j, path in enumerate(_paths(29, n)):
             w1 = path.evaluate(1.0)
             dev[j] = path.evaluate(0.5) - 0.5 * w1
         assert abs(dev.mean()) <= 3.0 * 0.5 / math.sqrt(n)
@@ -105,8 +109,7 @@ class TestPathDistribution:
         pts = (0.25, 0.5, 0.75, 1.0)
         order = (1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875)
         acc = np.empty((n, len(pts)))
-        for j in range(n):
-            path = new_path(derive_seed(23, j))
+        for j, path in enumerate(_paths(23, n)):
             for t in order:
                 path.evaluate(t)
             look = dict(path.evaluations())
@@ -124,8 +127,7 @@ class TestPathDistribution:
         # P(M >= 1) = 2*(1 - Phi(1)). Acceptance runs the full-size check.
         n = 20_000
         hits = 0
-        for j in range(n):
-            path = new_path(derive_seed(17, j))
+        for path in _paths(17, n):
             z = path.evaluate(1.0)
             m = max(z, bridge_max_sample(path.rng, 0.0, 1.0, 0.0, z))
             hits += m >= 1.0
@@ -155,6 +157,9 @@ class TestExceedProb:
             bridge_max_exceed_prob(1.0, 1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             bridge_max_exceed_prob(0.7, 0.2, 0.0, 0.0, 1.0)
+        for wa, wb, x in ((0.0, 0.0, math.nan), (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                bridge_max_exceed_prob(0.0, 1.0, wa, wb, x)
 
     def test_monte_carlo_cross_check(self):
         # Discrete bridge on a depth-12 grid; its running max slightly

@@ -8,7 +8,7 @@ import pytest
 
 import oob.analysis
 import oob.cli
-from oob import derive_seed, run_oob
+from oob import RandomSource, derive_seed, run_oob
 from oob.analysis import MAX_GRID_DEPTH
 from oob.cli import CSV_HEADER, build_parser, main, run_sweep
 
@@ -58,6 +58,36 @@ class TestRun:
         code, out, _ = run_cli(["run", "--epsilon", "0.01", "--seed", "1"], capsys)
         assert code == 0
         assert json.loads(out)["n_evals"] <= 2**20
+
+    # No depth h <= MAX_DEPTH reaches an epsilon below about 1.146e-8, and at
+    # 1e-320 epsilon * 2**-h underflows to 0: both are usage errors, refused
+    # before any draw, also when they follow a usable epsilon in a list.
+    @pytest.mark.parametrize("argv, epsilon", [
+        (["run", "--epsilon"], "1e-9"),
+        (["run", "--epsilon"], "1e-320"),
+        (["sweep", "--trials", "2", "--epsilons"], "1e-9"),
+        (["sweep", "--trials", "2", "--epsilons"], "1e-320"),
+        (["sweep", "--trials", "2", "--epsilons"], "0.1,1e-9"),
+        (["verify", "pac", "--trials", "2", "--epsilon"], "1e-9"),
+        (["verify", "pac", "--trials", "2", "--epsilon"], "1e-320"),
+        (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-9"),
+        (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-320"),
+        (["verify", "baseline", "--trials", "1", "--epsilons"], "0.1,1e-9"),
+    ])
+    def test_unreachable_epsilon_exits_2(self, argv, epsilon, tmp_path, capsys, monkeypatch):
+        draws = []
+        for name in ("normal", "normals", "uniform_open", "uniforms_open"):
+            original = getattr(RandomSource, name)
+            monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
+                                draws.append(_n) or _f(*a))
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli([*argv, epsilon, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("oob: error: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+        assert draws == []
 
 
 class TestSweep:

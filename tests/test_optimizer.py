@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oob import RandomSource, compute_h_max, eta, new_path, run_oob, run_oob_on_path
-from oob.optimizer import _check_state
+from oob import optimizer
 
 
 class TestEta:
@@ -32,6 +34,8 @@ class TestEta:
             eta(0.1, 0.0)
         with pytest.raises(ValueError):
             eta(0.1, -1.0)
+        with pytest.raises(ValueError):
+            eta(1e-320, 2.0**-60)  # product underflows to 0
 
 
 class TestHMax:
@@ -55,7 +59,7 @@ class TestHMax:
                 compute_h_max(bad)
 
     # Floor at 1e-6: far smaller targets need depths past the 60-level
-    # cap (1e-8 already wants h = 61), which is a hard error by design.
+    # cap (1e-8 already wants h = 61), which are refused.
     @given(st.floats(1e-6, 0.4999))
     @settings(max_examples=200, deadline=None)
     def test_postcondition(self, epsilon):
@@ -65,8 +69,15 @@ class TestHMax:
             assert eta(epsilon, 2.0**-smaller) > epsilon
 
     def test_depth_cap_is_hard_error(self):
-        with pytest.raises(RuntimeError):
-            compute_h_max(1e-9)
+        # The smallest reachable epsilon is about 1.146e-8, reached at h = 60.
+        assert compute_h_max(1.147e-8) == 60
+        for tiny in (1.145e-8, 1e-9, 1e-320):
+            with pytest.raises(ValueError):
+                compute_h_max(tiny)
+
+
+# (epsilon, seed) pairs whose runs the replay re-derives.
+REPLAY_CASES = [(0.1, 5), (0.05, 12), (0.2, 5), (0.05, 3), (0.01, 8)]
 
 
 def _replay_partition(result):
@@ -179,7 +190,7 @@ class TestRunLoop:
         assert result.n_evals > 128
         assert calls == []
 
-    @pytest.mark.parametrize("epsilon,seed", [(0.1, 5), (0.05, 12)])
+    @pytest.mark.parametrize("epsilon,seed", REPLAY_CASES)
     def test_selection_replay(self, epsilon, seed):
         # Re-derive every selection decision from the trace alone: each
         # split must hit the max-bound interval with (depth, index)
@@ -196,28 +207,20 @@ class TestRunLoop:
         assert all(bound <= selected_bound for bound in survivors)
         assert any(h < result.h_max for h, _ in final)
 
-    @pytest.mark.parametrize("epsilon,seed", [(0.2, 5), (0.05, 3), (0.01, 8)])
-    def test_debug_checks_agree(self, epsilon, seed):
-        plain = run_oob(epsilon, seed)
-        checked = run_oob(epsilon, seed, debug_checks=True)
-        assert plain == checked
-
-    def test_check_state_rejects_corrupt_heaps(self):
-        widths = [eta(0.1, 2.0**-h) for h in range(3)]
-
-        def entry(h, k, wa, wb):
-            return (-(max(wa, wb) + widths[h]), h, k, wa, wb)
-
-        halves = [entry(1, 0, 0.0, 0.5), entry(1, 1, 0.5, -0.2)]
-        _check_state(sorted(halves), widths)
-        with pytest.raises(AssertionError, match="selection"):
-            _check_state(sorted(halves)[::-1], widths)
-        with pytest.raises(AssertionError, match="stale bound"):
-            _check_state([(halves[0][0] - 1.0, *halves[0][1:])], widths)
-        with pytest.raises(AssertionError, match="gap or overlap"):
-            _check_state([halves[0], entry(2, 3, 0.1, -0.2)], widths)
-        with pytest.raises(AssertionError, match="covers"):
-            _check_state([halves[0]], widths)
+    @pytest.mark.parametrize("corrupt", [
+        lambda b, h, k, wa, wb: (b - 0.05, h, k, wa, wb),  # bound 0.05 too high
+        lambda b, h, k, wa, wb: (b, h, k - 1, wa, wb),  # index one to the left
+    ], ids=["bound", "index"])
+    def test_replay_catches_corrupt_heap(self, corrupt, monkeypatch):
+        # Each right child the loop pushes is corrupted; the replay, which
+        # never reads the heap, must notice on every replay case.
+        monkeypatch.setattr(optimizer, "heapq", SimpleNamespace(
+            heapreplace=heapq.heapreplace,
+            heappush=lambda heap, entry: heapq.heappush(heap, corrupt(*entry)),
+        ))
+        for epsilon, seed in REPLAY_CASES:
+            with pytest.raises(AssertionError):
+                _replay_partition(run_oob(epsilon, seed))
 
     def test_used_path_is_refused_without_a_draw(self):
         # The loop draws from the stream as if the path held only W(0), so
