@@ -113,8 +113,10 @@ def _oracle_cells(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate an evaluation set covering [0, 1]; return its cells.
 
-    The cells are the consecutive pairs, as (lengths, left values, right
-    values) arrays for :func:`bridge_max_from_uniforms`.
+    The times must rise strictly from 0 to 1 and the values be finite; the
+    comparisons are written so that a NaN fails them. The cells are the
+    consecutive pairs, as (lengths, left values, right values) arrays for
+    :func:`bridge_max_from_uniforms`.
     """
     if len(evaluations) < 2:
         raise ValueError("need at least the two endpoint evaluations")
@@ -123,8 +125,10 @@ def _oracle_cells(
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("evaluations must start at t=0 and end at t=1")
     lengths = np.diff(t)
-    if np.any(lengths <= 0.0):
+    if not np.all(lengths > 0.0):
         raise ValueError("evaluation times must be strictly increasing")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("evaluation values must be finite")
     return lengths, w[:-1], w[1:]
 
 

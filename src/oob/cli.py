@@ -1,9 +1,11 @@
 """Command-line front end: single runs, epsilon sweeps, verification suites.
 
-Exit codes: 0 for success (and for a verification that passed), 1 for a
-verification that ran fine but failed its bound, 2 for usage errors.
-Output is deterministic byte-for-byte given identical flags and seed; when
-``--seed`` is absent the ``OOB_SEED`` environment variable is used, then 0.
+Flags are only parsed here; each value is checked by the library function
+that uses it. Exit codes: 0 for success (and for a verification that
+passed), 1 for a verification that ran fine but failed its bound, 2 for
+usage errors. Output is deterministic byte-for-byte given identical flags
+and seed; when ``--seed`` is absent the ``OOB_SEED`` environment variable
+is used, then 0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .analysis import (
     pac_estimate,
 )
 from .optimizer import RunResult, compute_h_max, run_oob
-from .rng import MASK64, derive_seed
+from .rng import derive_seed
 
 __all__ = ["CSV_HEADER", "main", "run_sweep"]
 
@@ -37,9 +39,12 @@ def run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> list[RunRe
 
     Trial j uses the derived seed ``derive_seed(seed, j)`` at every epsilon,
     so runs are paired across epsilon levels and reproducible one-by-one
-    with ``run --epsilon E --seed <row seed>``. An epsilon that
-    :func:`run_oob` would refuse is refused before any draw.
+    with ``run --epsilon E --seed <row seed>``. An empty ``epsilons``, a
+    ``trials`` below 1 and an epsilon that :func:`run_oob` would refuse
+    raise ``ValueError`` before any draw.
     """
+    if not epsilons or trials < 1:
+        raise ValueError(f"need epsilons and trials >= 1, got {epsilons}, {trials}")
     for epsilon in epsilons:
         compute_h_max(epsilon)
     return [run_oob(epsilon, derive_seed(seed, j)) for epsilon in epsilons for j in range(trials)]
@@ -80,70 +85,20 @@ def _verdict(report: VerificationReport) -> tuple[str, int]:
     return _json(report.to_json_dict()), 0 if report.passed else 1
 
 
-def _parse_epsilon(text: str, *, allow_half: bool = False) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    top = "1/2 inclusive" if allow_half else "1/2"
-    ok = 0.0 < value <= 0.5 if allow_half else 0.0 < value < 0.5
-    if not ok:
-        raise argparse.ArgumentTypeError(
-            f"epsilon must satisfy 0 < epsilon < {top}, got {text}"
-        )
-    return value
-
-
-def _epsilon_strict(text: str) -> float:
-    return _parse_epsilon(text)
-
-
-def _epsilon_to_half(text: str) -> float:
-    return _parse_epsilon(text, allow_half=True)
-
-
 def _epsilon_list(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("empty epsilon list")
-    return tuple(_epsilon_strict(p.strip()) for p in parts)
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _seed(text: str) -> int:
+def _resolve_seed(flag: str | None) -> int:
     # Plain digits are decimal even with a leading zero ("010" is 10); base 0
-    # still reads the 0x, 0o and 0b forms.
+    # still reads the 0x, 0o and 0b forms. The library checks the range.
+    source, text = "--seed", flag
+    if flag is None:
+        source, text = "OOB_SEED", os.environ.get("OOB_SEED", "0")
     try:
-        value = int(text, 10 if text.strip().isdecimal() else 0)
+        return int(text, 10 if text.strip().isdecimal() else 0)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0 or value > MASK64:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {text}")
-    return value
-
-
-def _positive(name: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
-        return value
-
-    return parse
-
-
-def _resolve_seed(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("OOB_SEED")
-    if env is None:
-        return 0
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"OOB_SEED: {exc}") from None
+        raise ValueError(f"{source}: not an integer: {text!r}") from None
 
 
 @functools.cache
@@ -164,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_p = commands.add_parser("run", help="one optimizer run, emitted as JSON")
-    run_p.add_argument("--epsilon", type=_epsilon_strict, required=True)
+    run_p.add_argument("--epsilon", type=float, required=True)
     _add_common(run_p)
     run_p.set_defaults(handler=lambda args, seed: (_json(_row(run_oob(args.epsilon, seed))), 0))
 
@@ -175,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SWEEP_EPSILONS,
         help="comma-separated list (default %(default)s)",
     )
-    sweep_p.add_argument("--trials", type=_positive("trials"), default=250)
+    sweep_p.add_argument("--trials", type=int, default=250)
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sweep_p)
     sweep_p.set_defaults(handler=_sweep)
@@ -184,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     suites = verify_p.add_subparsers(dest="suite", required=True)
 
     pac_p = suites.add_parser("pac", help="exceedance rate of the final answer")
-    pac_p.add_argument("--epsilon", type=_epsilon_strict, default=0.1)
-    pac_p.add_argument("--trials", type=_positive("trials"), default=500)
-    pac_p.add_argument("--draws", type=_positive("draws"), default=100)
+    pac_p.add_argument("--epsilon", type=float, default=0.1)
+    pac_p.add_argument("--trials", type=int, default=500)
+    pac_p.add_argument("--draws", type=int, default=100)
     _add_common(pac_p)
     pac_p.set_defaults(
         handler=lambda args, seed: _verdict(
@@ -197,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     lemma3_p = suites.add_parser("lemma3", help="near-optimal count bound")
     lemma3_p.add_argument("--depth", type=int, default=6, help="grid depth h")
     lemma3_p.add_argument("--eta", type=float, default=0.1)
-    lemma3_p.add_argument("--trials", type=_positive("trials"), default=10000)
+    lemma3_p.add_argument("--trials", type=int, default=10000)
     _add_common(lemma3_p)
     lemma3_p.set_defaults(
         handler=lambda args, seed: _verdict(lemma3_mc(args.depth, args.eta, args.trials, seed))
     )
 
     eventc_p = suites.add_parser("eventc", help="simultaneous bound violations")
-    eventc_p.add_argument("--epsilon", type=_epsilon_to_half, default=0.5)
-    eventc_p.add_argument("--depth", type=_positive("depth"), default=10)
-    eventc_p.add_argument("--trials", type=_positive("trials"), default=100000)
+    eventc_p.add_argument("--epsilon", type=float, default=0.5)
+    eventc_p.add_argument("--depth", type=int, default=10)
+    eventc_p.add_argument("--trials", type=int, default=100000)
     _add_common(eventc_p)
     eventc_p.set_defaults(
         handler=lambda args, seed: _verdict(
@@ -221,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0.05, 0.01),
         help="strictly decreasing targets (default %(default)s)",
     )
-    baseline_p.add_argument("--trials", type=_positive("trials"), default=101)
+    baseline_p.add_argument("--trials", type=int, default=101)
     _add_common(baseline_p)
     baseline_p.set_defaults(
         handler=lambda args, seed: _verdict(
@@ -233,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=None, help="default: $OOB_SEED, else 0")
+    sub.add_argument("--seed", default=None, help="default: $OOB_SEED, else 0")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -248,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
     except (ValueError, OSError) as exc:
-        # Domain errors that slipped past flag validation, a bad OOB_SEED
-        # and an --out that cannot be written are usage errors.
+        # A value the library refuses, a seed that is not an integer and an
+        # --out that cannot be written are usage errors.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -90,6 +90,13 @@ class TestConditionalMax:
             conditional_max_samples([(0.0, 0.0), (0.5, 1.0), (0.5, 1.0), (1.0, 0.0)], rng, 1)
         with pytest.raises(ValueError):
             conditional_max_samples([(0.0, 0.0), (1.0, 0.0)], rng, 0)
+        # Non-finite times and values, which would give NaN or inf samples.
+        with pytest.raises(ValueError):
+            conditional_max_samples([(0.0, 0.0), (math.nan, 1.0), (1.0, 0.0)], rng, 3)
+        with pytest.raises(ValueError):
+            conditional_max_samples([(0.0, 0.0), (0.5, math.nan), (1.0, 0.0)], rng, 3)
+        with pytest.raises(ValueError):
+            conditional_max_samples([(0.0, 0.0), (0.5, math.inf), (1.0, 0.0)], rng, 3)
 
     def test_batched_matches_scalar_stream(self):
         evals = [(0.0, 0.0), (0.25, 0.4), (0.7, -0.1), (1.0, 0.2)]

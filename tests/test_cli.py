@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,41 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def is_one_error_line(err):
+    return err.startswith("oob: error: ") and err.count("\n") == 1
+
+
+# Every command with small counts, each but run ending in its --trials flag,
+# and the flags that take an epsilon.
+COMMANDS = [
+    ["run", "--epsilon", "0.1"],
+    ["sweep", "--epsilons", "0.1", "--trials", "1"],
+    ["verify", "pac", "--draws", "1", "--trials", "1"],
+    ["verify", "lemma3", "--trials", "1"],
+    ["verify", "eventc", "--trials", "1"],
+    ["verify", "baseline", "--trials", "1"],
+]
+EPSILON_FLAGS = [
+    ["run", "--epsilon"],
+    ["sweep", "--trials", "2", "--epsilons"],
+    ["verify", "pac", "--trials", "2", "--epsilon"],
+    ["verify", "baseline", "--trials", "1", "--epsilons"],
+]
+# Values the library refuses that the parser passes on: (argv, last item). A
+# last item NAME=VALUE is set in the environment instead.
+REFUSED = [
+    *((flags, epsilon) for flags in EPSILON_FLAGS for epsilon in ("0.5", "0.6", "-0.1", "nan")),
+    (["sweep", "--trials", "2", "--epsilons"], ","),
+    (["verify", "eventc", "--trials", "2", "--epsilon"], "0.51"),
+    *((command[:-1], "0") for command in COMMANDS[1:]),
+    (["verify", "pac", "--trials", "1", "--draws"], "0"),
+    (["verify", "eventc", "--trials", "1", "--depth"], "0"),
+    (["verify", "lemma3", "--trials", "1", "--depth"], "-1"),
+    *(([*command, "--seed"], seed) for command in COMMANDS for seed in ("-1", str(2**64))),
+    *((command, f"OOB_SEED={seed}") for command in COMMANDS for seed in ("-1", str(2**64))),
+]
 
 
 class TestRun:
@@ -44,15 +81,15 @@ class TestRun:
         assert json.loads(target.read_text())["epsilon"] == 0.2
 
     def test_epsilon_above_half_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["run", "--epsilon", "0.6", "--seed", "7"])
-        assert info.value.code == 2
-        assert "1/2" in capsys.readouterr().err
+        code, _, err = run_cli(["run", "--epsilon", "0.6", "--seed", "7"], capsys)
+        assert code == 2
+        assert "1/2" in err
+        assert is_one_error_line(err)
 
     def test_epsilon_at_half_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["run", "--epsilon", "0.5"])
-        assert info.value.code == 2
+        code, _, err = run_cli(["run", "--epsilon", "0.5"], capsys)
+        assert code == 2
+        assert is_one_error_line(err)
 
     def test_small_epsilon_respects_cap(self, capsys):
         code, out, _ = run_cli(["run", "--epsilon", "0.01", "--seed", "1"], capsys)
@@ -61,8 +98,9 @@ class TestRun:
 
     # No depth h <= MAX_DEPTH reaches an epsilon below about 1.146e-8, and at
     # 1e-320 epsilon * 2**-h underflows to 0: both are usage errors, refused
-    # before any draw, also when they follow a usable epsilon in a list.
-    @pytest.mark.parametrize("argv, epsilon", [
+    # before any draw, also when they follow a usable epsilon in a list. So
+    # is every value in REFUSED, each checked only by the library.
+    @pytest.mark.parametrize("argv, value", [
         (["run", "--epsilon"], "1e-9"),
         (["run", "--epsilon"], "1e-320"),
         (["sweep", "--trials", "2", "--epsilons"], "1e-9"),
@@ -73,15 +111,21 @@ class TestRun:
         (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-9"),
         (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-320"),
         (["verify", "baseline", "--trials", "1", "--epsilons"], "0.1,1e-9"),
+        *(pytest.param(argv, value, id=" ".join([*argv, value])) for argv, value in REFUSED),
     ])
-    def test_unreachable_epsilon_exits_2(self, argv, epsilon, tmp_path, capsys, monkeypatch):
+    def test_unreachable_epsilon_exits_2(self, argv, value, tmp_path, capsys, monkeypatch):
         draws = []
         for name in ("normal", "normals", "uniform_open", "uniforms_open"):
             original = getattr(RandomSource, name)
             monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
                                 draws.append(_n) or _f(*a))
+        variable, is_env, text = value.partition("=")
+        if is_env:
+            monkeypatch.setenv(variable, text)
+        else:
+            argv = [*argv, value]
         target = tmp_path / "out.txt"
-        code, out, err = run_cli([*argv, epsilon, "--out", str(target)], capsys)
+        code, out, err = run_cli([*argv, "--out", str(target)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("oob: error: ")
@@ -143,9 +187,18 @@ class TestSweep:
         assert [r.seed for r in rows] == [derive_seed(5, 0), derive_seed(5, 1)]
 
     def test_bad_epsilon_list_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["sweep", "--epsilons", "0.1,0.7", "--trials", "1"])
-        assert info.value.code == 2
+        code, _, err = run_cli(["sweep", "--epsilons", "0.1,0.7", "--trials", "1"], capsys)
+        assert code == 2
+        assert is_one_error_line(err)
+
+    @pytest.mark.parametrize("epsilons, trials", [((0.1,), 0), ((), 5)])
+    def test_empty_sweep_refused(self, epsilons, trials, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(oob.cli, "run_oob", no_run)
+        with pytest.raises(ValueError):
+            run_sweep(epsilons, trials, 5)
 
 
 class TestVerify:
@@ -249,9 +302,9 @@ class TestVerify:
         assert report["wilson_upper_95"] is not None
 
     def test_eventc_rejects_epsilon_above_half(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["verify", "eventc", "--epsilon", "0.51", "--trials", "10"])
-        assert info.value.code == 2
+        code, _, err = run_cli(["verify", "eventc", "--epsilon", "0.51", "--trials", "10"], capsys)
+        assert code == 2
+        assert is_one_error_line(err)
 
     def test_report_bytes_deterministic(self, tmp_path, capsys):
         args = ["verify", "eventc", "--epsilon", "0.5", "--depth", "4",
@@ -336,13 +389,32 @@ class TestSeedResolution:
         assert from_env == from_flag
 
     def test_bad_seed_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["run", "--epsilon", "0.2", "--seed", "bad"])
-        assert info.value.code == 2
-        assert "not an integer: 'bad'" in capsys.readouterr().err
+        code, _, err = run_cli(["run", "--epsilon", "0.2", "--seed", "bad"], capsys)
+        assert code == 2
+        assert "not an integer: 'bad'" in err
+        assert is_one_error_line(err)
 
     def test_invalid_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("OOB_SEED", "not-a-number")
         code, _, err = run_cli(["run", "--epsilon", "0.2"], capsys)
         assert code == 2
         assert "OOB_SEED" in err
+
+
+def test_process_exit_status_2():
+    # The status the process really exits with, not an in-process SystemExit:
+    # a value the library refuses gets one line, text that is not a number
+    # argparse's usage message.
+    def oob(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "oob.cli", *argv], capture_output=True, text=True
+        )
+
+    refused = oob("run", "--epsilon", "0.6")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert is_one_error_line(refused.stderr)
+    garbled = oob("run", "--epsilon", "abc")
+    assert garbled.returncode == 2
+    assert garbled.stderr.startswith("usage: oob run")
+    assert "argument --epsilon: invalid float value: 'abc'" in garbled.stderr
