@@ -10,8 +10,10 @@ under test.
 Every harness returns a :class:`VerificationReport` with raw counts, the
 theoretical bound, a Wilson confidence limit where a rate is being tested,
 and a pass verdict. Trial j of a suite seeded with s always uses the child
-seed ``derive_seed(s, j)``, so suites are reproducible trial-by-trial and
-safe to parallelize (counts reduce by summing).
+seed ``derive_seed(s, j)``, or ``derive_seed(derive_seed(s, i), j)`` at
+baseline grid level i, so suites are reproducible trial-by-trial and safe
+to parallelize (counts reduce by summing). The grid suites (lemma3, eventc,
+baseline) all draw their trials through :func:`_grid_blocks`.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ __all__ = [
 # Two-sided 95% standard normal quantile, Phi^-1(0.975).
 Z95 = 1.959963984540054
 
-# Stream tags for auxiliary draws that must not collide with trial seeds.
-_ORACLE_TAG = 0x6F7261636C65  # "oracle"
+# Stream tag of the baseline's optimizer runs, kept apart from trial seeds.
 _RUNNER_TAG = 0x72756E6E6572  # "runner"
 
 # Cost ratio the baseline suite requires at its smallest epsilon.
@@ -201,7 +202,7 @@ def pac_estimate(
     are row-major, so the blocks see exactly the values of one call.
     """
     if trials < 1 or oracle_draws_per_trial < 1:
-        raise ValueError("trials and oracle_draws_per_trial must be >= 1")
+        raise ValueError("trials and oracle draws per trial must be >= 1")
     exceedances = 0
     for j in range(trials):
         trial_seed = derive_seed(seed, j)
@@ -235,26 +236,25 @@ MAX_GRID_DEPTH = 20
 
 
 def _grid_blocks(
-    seed: int, trials: int, depth: int
+    streams: Iterator[RandomSource], trials: int, depth: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """W on the depth-``depth`` dyadic grid plus one exact sup draw per cell.
 
-    Yields ``(w, sups)`` for consecutive blocks of trials, in trial order.
-    Row i of a block is trial j: its own stream, that of
-    ``RandomSource(derive_seed(seed, j))``, draws ``normals(2**depth)`` and
-    then ``uniforms_open(2**depth)``. The trial sources come from
-    :func:`~oob.rng.sources`, which seeds them in chunks of trials that do
-    not depend on the blocks; each trial's stream is unchanged by that.
-    ``w`` has shape ``(rows, 2**depth + 1)`` with ``w[:, 0] = 0`` and the
-    in-order sums of the Gaussians scaled by ``sqrt(2**-depth)`` after the
-    sum; ``sups`` has shape ``(rows, 2**depth)``, cell k's sup drawn from
-    the bridge pinned at ``w[:, k]`` and ``w[:, k + 1]``. A block has
+    Takes the next ``trials`` sources of ``streams``, one per trial, and
+    yields ``(w, sups)`` for consecutive blocks of trials, in trial order;
+    later sources are left for the caller. Each trial's stream draws
+    ``normals(2**depth)`` and then ``uniforms_open(2**depth)``; the callers
+    seed the streams with :func:`~oob.rng.sources`, whose chunks do not
+    depend on the blocks. ``w`` has shape ``(rows, 2**depth + 1)`` with
+    ``w[:, 0] = 0`` and the in-order sums of the Gaussians scaled by
+    ``sqrt(2**-depth)`` after the sum; ``sups`` has shape
+    ``(rows, 2**depth)``, cell k's sup drawn from the bridge pinned at
+    ``w[:, k]`` and ``w[:, k + 1]``. A block has
     ``max(1, _BLOCK_CELLS >> depth)`` rows, the last one fewer.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, _BLOCK_CELLS >> depth)
-    streams = sources(derive_seed(seed, j) for j in range(trials))
     for start in range(0, trials, block):
         rows = min(block, trials - start)
         z = np.empty((rows, n))
@@ -287,7 +287,7 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     Requires 0 <= h <= ``MAX_GRID_DEPTH``.
     """
     if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
+        raise ValueError(f"grid depth h must be >= 0, got {h}")
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if trials < 1:
@@ -300,10 +300,11 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
     if h > MAX_GRID_DEPTH:
         raise ValueError(f"h must be <= {MAX_GRID_DEPTH}, got {h}")
+    streams = sources(derive_seed(seed, j) for j in range(trials))
     counts = np.concatenate(
         [
             np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
-            for w, sups in _grid_blocks(seed, trials, h)
+            for w, sups in _grid_blocks(streams, trials, h)
         ]
     )
     mean = float(counts.mean())
@@ -351,14 +352,15 @@ def event_c_check(
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1/2, got {epsilon}")
     if check_depth < 1:
-        raise ValueError(f"check_depth must be >= 1, got {check_depth}")
+        raise ValueError(f"grid depth check_depth must be >= 1, got {check_depth}")
     if check_depth > MAX_GRID_DEPTH:
         raise ValueError(f"check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     violations = 0
-    for w, sups in _grid_blocks(seed, trials, check_depth):
+    streams = sources(derive_seed(seed, j) for j in range(trials))
+    for w, sups in _grid_blocks(streams, trials, check_depth):
         bad = np.zeros(len(w), dtype=bool)
         level = sups
         for h in range(check_depth, -1, -1):
@@ -384,20 +386,6 @@ def event_c_check(
     )
 
 
-def _uniform_grid(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times k/n and values W(k/n) for k = 0..n of the path seeded ``seed``.
-
-    Draws the n Gaussians in one batch and scales each by
-    sqrt(t_k - t_{k-1}) before an in-order sum, as
-    :meth:`BrownianPath.evaluate` does past its last point, so the values
-    are bit-equal to ``new_path(seed)`` walked at k/n for k = 1..n.
-    """
-    t = np.arange(n + 1) / n
-    w = np.zeros(n + 1)
-    np.cumsum(np.sqrt(np.diff(t)) * RandomSource(seed).normals(n), out=w[1:])
-    return t, w
-
-
 def baseline_separation(
     epsilons: tuple[float, ...] = (0.05, 0.01),
     grid_sizes: tuple[int, ...] = tuple(2**k for k in range(4, 15)),
@@ -407,19 +395,22 @@ def baseline_separation(
 ) -> VerificationReport:
     """Compare grid sizes needed for target error against optimizer cost.
 
-    For each grid size, the median conditional error M - m_hat is measured
-    over ``trials`` fresh paths, m_hat being the best grid value (t = 0
-    included) and M one exact conditional draw given the grid. Each grid
-    is the one-batch walk of :func:`_uniform_grid`; its oracle draws one
-    ``uniforms_open(n)`` from a separate stream, one uniform per cell from
-    left to right. ``grid_sizes`` must be strictly increasing. For each
-    target epsilon, in decreasing order, the smallest grid size whose
-    median error is <= epsilon is divided by the optimizer's mean
-    evaluation count at that epsilon. The suite passes when every target
-    is reachable, the cost ratio strictly grows as epsilon shrinks, and
-    the ratio at the smallest epsilon is at least 3. One violation is
-    counted per epsilon level that breaks its part of that contract. An
-    epsilon that :func:`run_oob` would refuse is refused before any draw.
+    For each grid size n, the median conditional error M - m_hat is
+    measured over ``trials`` fresh paths, m_hat being the best grid value
+    (t = 0 included) and M the max of the exact cell sups: each trial is a
+    row of :func:`_grid_blocks` at depth log2(n). Trial j of level i has
+    the seed ``derive_seed(derive_seed(seed, i), j)``, so adding a level
+    leaves the others' draws unchanged; one :func:`~oob.rng.sources`
+    generator seeds every level. ``grid_sizes`` must be strictly
+    increasing powers of two up to ``2**MAX_GRID_DEPTH``. For each target
+    epsilon, in decreasing order, the smallest grid size whose median
+    error is <= epsilon is divided by the optimizer's mean evaluation
+    count at that epsilon. The suite passes when every target is
+    reachable, the cost ratio strictly grows as epsilon shrinks, and the
+    ratio at the smallest epsilon is at least 3. One violation is counted
+    per epsilon level that breaks its part of that contract. Every
+    argument, an epsilon that :func:`run_oob` would refuse included, is
+    checked before any draw.
     """
     if len(epsilons) < 1:
         raise ValueError("epsilons must be non-empty")
@@ -427,25 +418,21 @@ def baseline_separation(
         compute_h_max(epsilon)
     if any(epsilons[i + 1] >= epsilons[i] for i in range(len(epsilons) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
-    if len(grid_sizes) < 1 or any(n < 1 for n in grid_sizes):
-        raise ValueError("grid_sizes must be non-empty positive integers")
+    # A size that is not a power of two would walk the grid of its top bit.
+    if not grid_sizes or any(n < 1 or n & (n - 1) or n > 1 << MAX_GRID_DEPTH for n in grid_sizes):
+        raise ValueError(f"grid_sizes must be positive powers of two <= 2**{MAX_GRID_DEPTH}")
     if any(grid_sizes[i + 1] <= grid_sizes[i] for i in range(len(grid_sizes) - 1)):
         raise ValueError("grid_sizes must be strictly increasing")
     if trials < 1 or oob_runs < 1:
         raise ValueError("trials and oob_runs must be >= 1")
 
+    levels = range(len(grid_sizes))
+    streams = sources(derive_seed(derive_seed(seed, i), j) for i in levels for j in range(trials))
     medians = {}
-    for i, n in enumerate(grid_sizes):
-        level_seed = derive_seed(seed, i)
-        errors = []
-        for j in range(trials):
-            trial_seed = derive_seed(level_seed, j)
-            t, w = _uniform_grid(n, trial_seed)
-            oracle = RandomSource(derive_seed(trial_seed, _ORACLE_TAG))
-            u = oracle.uniforms_open(n)
-            m = float(bridge_max_from_uniforms(u, np.diff(t), w[:-1], w[1:]).max())
-            errors.append(m - float(w.max()))
-        medians[n] = median(errors)
+    for n in grid_sizes:
+        blocks = _grid_blocks(streams, trials, int(n).bit_length() - 1)
+        errors = [sups.max(axis=1) - w.max(axis=1) for w, sups in blocks]
+        medians[n] = median(np.concatenate(errors).tolist())
 
     ratios: list[float | None] = []
     mean_evals = []

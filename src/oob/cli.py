@@ -1,11 +1,12 @@
 """Command-line front end: single runs, epsilon sweeps, verification suites.
 
 Flags are only parsed here; each value is checked by the library function
-that uses it. Exit codes: 0 for success (and for a verification that
-passed), 1 for a verification that ran fine but failed its bound, 2 for
-usage errors. Output is deterministic byte-for-byte given identical flags
-and seed; when ``--seed`` is absent the ``OOB_SEED`` environment variable
-is used, then 0.
+that uses it, except that the seed's range is checked here, by the rng's
+own rule, so that a refusal names ``--seed`` or ``OOB_SEED``. Exit codes:
+0 for success (and for a verification that passed), 1 for a verification
+that ran fine but failed its bound, 2 for usage errors. Output is
+deterministic byte-for-byte given identical flags and seed; when
+``--seed`` is absent the ``OOB_SEED`` environment variable is used, then 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .analysis import (
     pac_estimate,
 )
 from .optimizer import RunResult, compute_h_max, run_oob
-from .rng import derive_seed
+from .rng import _check_u64, derive_seed
 
 __all__ = ["CSV_HEADER", "main", "run_sweep"]
 
@@ -91,14 +92,16 @@ def _epsilon_list(text: str) -> tuple[float, ...]:
 
 def _resolve_seed(flag: str | None) -> int:
     # Plain digits are decimal even with a leading zero ("010" is 10); base 0
-    # still reads the 0x, 0o and 0b forms. The library checks the range.
+    # still reads the 0x, 0o and 0b forms. The range is the library's rule,
+    # checked here so that a refusal names the flag or variable it came from.
     source, text = "--seed", flag
     if flag is None:
         source, text = "OOB_SEED", os.environ.get("OOB_SEED", "0")
     try:
-        return int(text, 10 if text.strip().isdecimal() else 0)
+        value = int(text, 10 if text.strip().isdecimal() else 0)
     except ValueError:
         raise ValueError(f"{source}: not an integer: {text!r}") from None
+    return _check_u64(value, source)
 
 
 @functools.cache

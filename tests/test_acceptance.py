@@ -155,6 +155,7 @@ def test_criterion_8_byte_determinism(tmp_path):
          "--seed", "1"],
         ["verify", "lemma3", "--depth", "4", "--trials", "50", "--seed", "2"],
         ["verify", "eventc", "--depth", "4", "--trials", "200", "--seed", "3"],
+        ["verify", "baseline", "--trials", "3", "--seed", "2"],
     ]
     ok = True
     parts = []

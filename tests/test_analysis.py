@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from statistics import median
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from oob import (
     RandomSource,
     baseline_separation,
     bridge_max_from_uniforms,
-    bridge_max_sample,
     conditional_max_samples,
     derive_seed,
     eta,
@@ -24,7 +24,7 @@ from oob import (
     run_oob_on_path,
     wilson_ci,
 )
-from oob.analysis import _BLOCK_CELLS, _ORACLE_TAG, MAX_GRID_DEPTH, _uniform_grid
+from oob.analysis import _BLOCK_CELLS, MAX_GRID_DEPTH
 
 
 class _GridReached(Exception):
@@ -36,7 +36,7 @@ def grid_depths(monkeypatch):
     """Depths the grid suites ask ``_grid_blocks`` for; no grid is drawn."""
     depths = []
 
-    def refuse(seed, trials, depth):
+    def refuse(streams, trials, depth):
         depths.append(depth)
         raise _GridReached
 
@@ -355,12 +355,20 @@ class TestGridStreams:
         lemma3_mc(6, 0.1, 60, 3)
         event_c_check(0.5, 4, 50, 3)
         assert built == []
+        # The baseline builds sources through the constructor only for its
+        # optimizer runs, one per run at each epsilon.
+        baseline_separation((0.05, 0.01), (16, 64, 256), trials=5, oob_runs=3, seed=3)
+        assert len(built) == 2 * 3
 
     def test_hashes_once_across_blocks(self, hash_calls):
         # At h = 15 a block holds one trial; the seeds are hashed in one
         # chunk all the same.
         lemma3_mc(15, 0.02, 40, 5)
         assert hash_calls == [40]
+
+    def test_baseline_hashes_every_level_in_one_pass(self, hash_calls):
+        baseline_separation(grid_sizes=(16, 64, 256), trials=5, oob_runs=1, seed=3)
+        assert hash_calls == [15]
 
 
 class TestEventC:
@@ -411,43 +419,43 @@ class TestEventC:
 
 
 class TestBaseline:
-    @pytest.mark.parametrize("n", [1, 3, 5, 7, 16, 1000])
-    def test_batched_walk_matches_lazy_path(self, n):
-        # Bit-equal, no tolerance, to a path walked at k/n: every point lies
-        # beyond the last stored one, so this pins that branch of evaluate.
-        for seed in (0, 1, 2, 77, 2**63 + 5, 2**64 - 1):
-            path = new_path(seed)
-            walk = [path.evaluate(k / n) for k in range(1, n + 1)]
-            t, w = _uniform_grid(n, seed)
-            assert t.tolist() == [k / n for k in range(n + 1)]
-            assert w.tolist() == [0.0, *walk]
-
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_oracle_matches_scalar_reference(self, seed):
-        # Reference: the lazily walked path and one bridge_max_sample per
-        # cell from the oracle stream; numpy's scalar and array log may
-        # round differently in the last bit.
-        grid_sizes = (16, 64, 256)
-        report = baseline_separation(
-            grid_sizes=grid_sizes, trials=1, oob_runs=1, seed=seed
-        )
+        # Exact, trial by trial: level i's trial j is the dyadic grid trial
+        # of seed derive_seed(derive_seed(seed, i), j). Trial counts 4..8
+        # give even and odd medians; at 8192 points a block holds 4 trials.
+        grid_sizes, trials = (1, 16, 256, 8192), 4 + seed
+        report = baseline_separation(grid_sizes=grid_sizes, trials=trials, oob_runs=1, seed=seed)
         for i, n in enumerate(grid_sizes):
-            trial_seed = derive_seed(derive_seed(seed, i), 0)
-            path = new_path(trial_seed)
-            w = [0.0] + [path.evaluate(k / n) for k in range(1, n + 1)]
-            oracle = RandomSource(derive_seed(trial_seed, _ORACLE_TAG))
-            m = max(
-                bridge_max_sample(oracle, (k - 1) / n, k / n, w[k - 1], w[k])
-                for k in range(1, n + 1)
-            )
-            ref = m - max(w)
-            got = report.metadata["median_errors"][str(n)]
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+            errors = []
+            for j in range(trials):
+                w, sups = _trial_grid(derive_seed(derive_seed(seed, i), j), n.bit_length() - 1)
+                errors.append(sups.max() - w.max())
+            assert report.metadata["median_errors"][str(n)] == float(median(errors))
 
-    def test_validation(self):
-        for grid_sizes in ((), (0, 16), (-4,)):
+    def test_added_level_keeps_earlier_levels(self):
+        short = baseline_separation(grid_sizes=(16, 64), trials=7, oob_runs=1, seed=3)
+        long = baseline_separation(grid_sizes=(16, 64, 256), trials=7, oob_runs=1, seed=3)
+        for n in ("16", "64"):
+            assert short.metadata["median_errors"][n] == long.metadata["median_errors"][n]
+
+    def test_numpy_integer_sizes(self):
+        plain = baseline_separation(grid_sizes=(16, 64), trials=3, oob_runs=1, seed=2)
+        sizes = tuple(np.int64(n) for n in (16, 64))
+        numpy = baseline_separation(grid_sizes=sizes, trials=3, oob_runs=1, seed=2)
+        assert numpy.metadata["median_errors"] == plain.metadata["median_errors"]
+
+    def test_validation(self, grid_depths):
+        # Sizes that are not powers of two, or that are above the grid
+        # ceiling, are refused before any grid is requested.
+        bad = ((), (0, 16), (-4,), (3,), (16, 48), (2 << MAX_GRID_DEPTH,), (2**34,))
+        for grid_sizes in bad:
             with pytest.raises(ValueError, match="positive"):
                 baseline_separation(grid_sizes=grid_sizes, trials=2, oob_runs=2)
+        assert grid_depths == []
+        with pytest.raises(_GridReached):
+            baseline_separation(grid_sizes=(1 << MAX_GRID_DEPTH,), trials=1, oob_runs=1)
+        assert grid_depths == [MAX_GRID_DEPTH]
 
     def test_separation_smoke(self):
         report = baseline_separation(
@@ -480,7 +488,7 @@ class TestBaseline:
         def drew(*args):
             raise AssertionError("drew before refusing the epsilons")
 
-        monkeypatch.setattr(oob.analysis, "_uniform_grid", drew)
+        monkeypatch.setattr(oob.analysis, "_grid_blocks", drew)
         monkeypatch.setattr(oob.analysis, "run_oob", drew)
         with pytest.raises(ValueError, match="too small"):
             baseline_separation(epsilons=(0.05, 1e-9), trials=2, oob_runs=2)

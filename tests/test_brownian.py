@@ -79,6 +79,18 @@ class TestPathBasics:
         assert times == sorted(times)
         assert times[0] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 16, 1000])
+    def test_batched_walk_matches_lazy_path(self, n):
+        # Bit-equal, no tolerance, to n Gaussians each scaled by its step's
+        # sqrt before an in-order sum: every point lies beyond the last
+        # stored one, so this pins that branch of evaluate.
+        t = np.arange(n + 1) / n
+        for seed in (0, 1, 2, 77, 2**63 + 5, 2**64 - 1):
+            path = new_path(seed)
+            walk = [path.evaluate(k / n) for k in range(1, n + 1)]
+            reference = np.cumsum(np.sqrt(np.diff(t)) * RandomSource(seed).normals(n))
+            assert walk == reference.tolist()
+
 
 class TestPathDistribution:
     def test_endpoint_is_standard_normal(self):

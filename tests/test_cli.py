@@ -54,6 +54,8 @@ REFUSED = [
     *(([*command, "--seed"], seed) for command in COMMANDS for seed in ("-1", str(2**64))),
     *((command, f"OOB_SEED={seed}") for command in COMMANDS for seed in ("-1", str(2**64))),
 ]
+# What a refusal must name, by the flag or variable that set the refused value.
+REFUSED_NAMES = {"--seed": "--seed", "OOB_SEED": "OOB_SEED", "--depth": "depth", "--draws": "draws"}
 
 
 class TestRun:
@@ -120,6 +122,7 @@ class TestRun:
             monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
                                 draws.append(_n) or _f(*a))
         variable, is_env, text = value.partition("=")
+        name = REFUSED_NAMES.get(variable if is_env else argv[-1], "")
         if is_env:
             monkeypatch.setenv(variable, text)
         else:
@@ -130,6 +133,7 @@ class TestRun:
         assert out == ""
         assert err.startswith("oob: error: ")
         assert err.count("\n") == 1
+        assert name in err
         assert not target.exists()
         assert draws == []
 

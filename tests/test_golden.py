@@ -51,7 +51,7 @@ CLI_GOLDEN = [
     ),
     pytest.param(
         ["verify", "baseline", "--trials", "5", "--seed", "1"],
-        "e55f855d6a6ab783f30783503705df5a6445489d4b067a83ca255d18f97018d1",
+        "904521429816827adbee425b94bdedea1502971656e280f03bdea685dd1d83ba",
         id="verify-baseline",
     ),
 ]
@@ -69,14 +69,14 @@ def test_cli_output_bytes(argv, digest, tmp_path):
 
 
 def test_baseline_separation_json(tmp_path):
-    # The grids come from a batched walk, not from BrownianPath.evaluate;
-    # test_analysis.py::TestBaseline::test_batched_walk_matches_lazy_path
-    # pins that walk to the beyond-the-last-point branch of evaluate.
+    # The grids are dyadic grid trials, the walk lemma3 and eventc share;
+    # test_analysis.py::TestBaseline::test_batched_oracle_matches_scalar_reference
+    # pins them to a per-trial reference.
     report = baseline_separation(
         grid_sizes=(16, 64, 256, 1024, 4096), trials=3, oob_runs=5, seed=5
     )
     target = tmp_path / "baseline.json"
     target.write_text(json.dumps(report.to_json_dict(), sort_keys=True))
     assert _sha256(target.read_bytes()) == (
-        "8bb1afca8796533fda281c2de4fbadd3177d683cb1d2987a19d48e2e8c8e5e7e"
+        "878f9b8bbcdd59b710616350bab9f01ca0f9b8b4831c1bf533cec765c1b35205"
     )
