@@ -11,7 +11,6 @@ from .analysis import (
     VerificationReport,
     Z95,
     baseline_separation,
-    conditional_max_samples,
     event_c_check,
     lemma3_mc,
     pac_estimate,
@@ -51,7 +50,6 @@ __all__ = [
     "bridge_max_from_uniforms",
     "bridge_max_sample",
     "compute_h_max",
-    "conditional_max_samples",
     "derive_seed",
     "eta",
     "event_c_check",

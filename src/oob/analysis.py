@@ -1,13 +1,13 @@
-"""Monte Carlo verification harnesses built on exact conditional laws.
+"""Verification harnesses built on exact conditional laws.
 
-The central tool is the conditional-maximum oracle: given any finite set of
-evaluations of W covering t = 0 and t = 1, one bridge-maximum draw per
-consecutive pair, maximized over pairs, is an exact sample of
-M = sup_{[0,1]} W conditioned on those evaluations. No discretization bias
-enters anywhere; every check here compares exact samples against the bound
-under test.
+The central tool is the conditional law of M = sup_{[0,1]} W given any
+finite set of evaluations of W covering t = 0 and t = 1: the cells between
+consecutive evaluations are independent bridges. The pac check computes
+P(M > x | evaluations) exactly as a product over cells; the grid suites
+draw one exact bridge maximum per cell, whose maximum over cells is an
+exact sample of M. No discretization bias enters anywhere.
 
-Every harness returns a :class:`VerificationReport` with raw counts, the
+Every harness returns a :class:`VerificationReport` with its counts, the
 theoretical bound, a Wilson confidence limit where a rate is being tested,
 and a pass verdict. Trial j of a suite seeded with s always uses the child
 seed ``derive_seed(s, j)``, or ``derive_seed(derive_seed(s, i), j)`` at
@@ -25,7 +25,7 @@ from statistics import median
 
 import numpy as np
 
-from .brownian import bridge_max_from_uniforms
+from .brownian import bridge_max_exceed_prob, bridge_max_from_uniforms
 from .optimizer import compute_h_max, eta, run_oob
 from .rng import RandomSource, derive_seed, sources
 
@@ -38,7 +38,6 @@ __all__ = [
     "VerificationReport",
     "Z95",
     "baseline_separation",
-    "conditional_max_samples",
     "event_c_check",
     "lemma3_mc",
     "pac_estimate",
@@ -55,12 +54,14 @@ _RUNNER_TAG = 0x72756E6E6572  # "runner"
 _MIN_FACTOR = 3.0
 
 
-def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+def wilson_ci(successes: float, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion.
 
     Stays valid near 0 and 1 where the normal-approximation interval
     collapses, which matters here because several bounds under test are
-    tiny (fifth-power rates).
+    tiny (fifth-power rates). ``successes`` may be fractional: for a sum
+    of independent [0, 1] variables, whose variance is at most that of
+    Bernoulli trials with the same mean, the upper limit is conservative.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -80,12 +81,13 @@ class VerificationReport:
 
     What counts as a trial and a violation is suite-specific and recorded
     in ``metadata`` together with the exact comparison that decided
-    ``passed``. ``wilson_upper_95`` is None for suites whose verdict is
-    not a binomial-rate comparison.
+    ``passed``; pac's ``violations`` is an expected count, not an integer.
+    ``wilson_upper_95`` is None for suites whose verdict is not a
+    binomial-rate comparison.
     """
 
     trials: int
-    violations: int
+    violations: float
     bound: float
     wilson_upper_95: float | None
     passed: bool
@@ -109,125 +111,68 @@ class VerificationReport:
         }
 
 
-def _oracle_cells(
-    evaluations: list[tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate an evaluation set covering [0, 1]; return its cells.
+def _exceed_prob(evaluations: list[tuple[float, float]], x: float) -> float:
+    """P(M > x) for M = sup W over [0, 1], given evaluations in increasing t.
 
-    The times must rise strictly from 0 to 1 and the values be finite; the
-    comparisons are written so that a NaN fails them. The cells are the
-    consecutive pairs, as (lengths, left values, right values) arrays for
-    :func:`bridge_max_from_uniforms`.
+    The evaluations must run from t = 0 to t = 1. The cells between
+    consecutive ones are independent bridges, so M <= x exactly when no
+    cell's maximum exceeds x: P(M > x) = 1 - prod(1 - p_cell), with p_cell
+    from :func:`bridge_max_exceed_prob`, summed in log1p space so that a
+    tiny probability keeps its digits. That function refuses times that
+    do not strictly rise, values that are not finite and an x below any
+    value; x equal to the best value gives exactly 1.
     """
     if len(evaluations) < 2:
         raise ValueError("need at least the two endpoint evaluations")
-    t = np.asarray([point[0] for point in evaluations], dtype=float)
-    w = np.asarray([point[1] for point in evaluations], dtype=float)
+    t, w = np.asarray(evaluations, dtype=float).T
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("evaluations must start at t=0 and end at t=1")
-    lengths = np.diff(t)
-    if not np.all(lengths > 0.0):
-        raise ValueError("evaluation times must be strictly increasing")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("evaluation values must be finite")
-    return lengths, w[:-1], w[1:]
+    p_cell = bridge_max_exceed_prob(t[:-1], t[1:], w[:-1], w[1:], x)
+    with np.errstate(divide="ignore"):  # a cell with p_cell = 1 adds log1p(-1) = -inf
+        return float(-np.expm1(np.log1p(-p_cell).sum()))
 
 
-def _cell_max_samples(
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray], rng: RandomSource, count: int
-) -> np.ndarray:
-    """``count`` draws of M over already validated cells, one uniform per cell each."""
-    lengths, left, right = cells
-    u = rng.uniforms_open((count, len(lengths)))
-    return bridge_max_from_uniforms(u, lengths, left, right).max(axis=1)
+def pac_estimate(epsilon: float, trials: int, seed: int) -> VerificationReport:
+    """Bound the probability that a run's answer is more than epsilon low.
 
-
-def conditional_max_samples(
-    evaluations: list[tuple[float, float]], rng: RandomSource, count: int
-) -> np.ndarray:
-    """``count`` exact, independent draws of M = sup W over [0, 1] given evaluations.
-
-    Consecutive evaluations pin independent bridges; one bridge-maximum
-    draw per cell, maximized over cells, has exactly the conditional law
-    of M, so every value is at least the best evaluation. Consumes
-    ``count * cells`` uniforms in one call, row r holding the cell draws
-    of sample r from left to right. The draws are row-major, so calls of
-    ``count = a`` then ``count = b`` on one source return exactly the
-    values of a single ``count = a + b`` call.
+    Per trial: one :func:`run_oob` on the trial seed ``derive_seed(seed, j)``,
+    then the exact probability p_j = P(M - m_hat > epsilon | evaluations)
+    given that run's evaluation set, W(0) = 0 plus the trace; nothing is
+    drawn after the run. The runs are independent, so ``violations`` is
+    sum(p_j), the expected number of failing runs, and ``empirical_rate``
+    their mean. A [0, 1] variable has at most the variance of a Bernoulli
+    of the same mean, so ``wilson_upper_95`` is the Wilson 95% upper limit
+    of sum(p_j) successes in ``trials`` runs. The claimed bound is that the
+    failure probability is at most epsilon; the report passes when that
+    upper limit is at most epsilon.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return _cell_max_samples(_oracle_cells(evaluations), rng, count)
-
-
-def _rate_report(trials: int, violations: int, bound: float, metadata: dict) -> VerificationReport:
-    """Report of a rate suite: passes when the empirical rate is within one
-    Wilson 95% half-width of ``bound``; ``metadata`` gains the comparison."""
-    rate = violations / trials
-    upper = wilson_ci(violations, trials)[1]
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    expected = 0.0
+    for j in range(trials):
+        result = run_oob(epsilon, derive_seed(seed, j))
+        expected += _exceed_prob([(0.0, 0.0), *sorted(result.trace)], result.m_hat + epsilon)
+    upper = wilson_ci(expected, trials)[1]
     return VerificationReport(
         trials=trials,
-        violations=violations,
-        bound=bound,
+        violations=expected,
+        bound=epsilon,
         wilson_upper_95=upper,
-        passed=rate <= bound + (upper - rate),
+        passed=upper <= epsilon,
         metadata={
-            **metadata,
-            "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
-        },
-    )
-
-
-# Rows per block of oracle draws (:func:`pac_estimate`) and of grid trials
-# (:func:`_grid_blocks`) are chosen so that one block holds about this many
-# cells, which bounds the working set at any draw or trial count.
-_BLOCK_CELLS = 1 << 15
-
-
-def pac_estimate(
-    epsilon: float, trials: int, oracle_draws_per_trial: int, seed: int
-) -> VerificationReport:
-    """Estimate the probability that a run's answer is more than epsilon low.
-
-    Per trial: one :func:`run_oob` on the trial seed, then
-    ``oracle_draws_per_trial`` conditional draws of M given that run's
-    evaluation set, W(0) = 0 plus the trace. The draws continue the
-    trial's own stream: a fresh source of the trial seed skips the run's
-    ``n_evals`` Gaussians, which is where the run left it. Each
-    draw with M - m_hat > epsilon counts as an exceedance. The claimed
-    bound is that the exceedance probability is at most epsilon; the
-    report passes when the empirical rate is within one Wilson 95%
-    half-width of that. A run with ``cells`` evaluation cells draws its
-    oracle samples ``max(1, _BLOCK_CELLS // cells)`` at a time; the draws
-    are row-major, so the blocks see exactly the values of one call.
-    """
-    if trials < 1 or oracle_draws_per_trial < 1:
-        raise ValueError("trials and oracle draws per trial must be >= 1")
-    exceedances = 0
-    for j in range(trials):
-        trial_seed = derive_seed(seed, j)
-        result = run_oob(epsilon, trial_seed)
-        rng = RandomSource(trial_seed)
-        rng.normals(result.n_evals)
-        cells = _oracle_cells([(0.0, 0.0), *sorted(result.trace)])
-        block = max(1, _BLOCK_CELLS // result.n_evals)
-        for start in range(0, oracle_draws_per_trial, block):
-            count = min(block, oracle_draws_per_trial - start)
-            samples = _cell_max_samples(cells, rng, count)
-            exceedances += int(np.count_nonzero(samples - result.m_hat > epsilon))
-    return _rate_report(
-        trials * oracle_draws_per_trial,
-        exceedances,
-        epsilon,
-        {
             "suite": "pac",
             "epsilon": epsilon,
-            "runs": trials,
-            "oracle_draws_per_run": oracle_draws_per_trial,
             "seed": seed,
+            "violations": "sum over runs of P(M - m_hat > epsilon | the run's evaluations)",
+            "comparison": "wilson_upper_95 <= bound",
         },
     )
 
+
+# Rows per block of grid trials (:func:`_grid_blocks`) are chosen so that
+# one block holds about this many cells, which bounds the working set at
+# any trial count.
+_BLOCK_CELLS = 1 << 15
 
 # Deepest grid the grid suites accept: a depth-20 block row holds 2**20
 # cells, about 8 MB per float array. Deeper grids would ask numpy for
@@ -288,18 +233,15 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     """
     if h < 0:
         raise ValueError(f"grid depth h must be >= 0, got {h}")
+    if h > MAX_GRID_DEPTH:
+        raise ValueError(f"grid depth h must be <= {MAX_GRID_DEPTH}, got {h}")
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    try:
-        bound = math.ldexp(6.0 * eta * eta, h)
-    except OverflowError:
-        bound = math.inf
+    bound = 6.0 * eta * eta * 2.0**h
     if not math.isfinite(bound):
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
-    if h > MAX_GRID_DEPTH:
-        raise ValueError(f"h must be <= {MAX_GRID_DEPTH}, got {h}")
     streams = sources(derive_seed(seed, j) for j in range(trials))
     counts = np.concatenate(
         [
@@ -354,7 +296,9 @@ def event_c_check(
     if check_depth < 1:
         raise ValueError(f"grid depth check_depth must be >= 1, got {check_depth}")
     if check_depth > MAX_GRID_DEPTH:
-        raise ValueError(f"check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}")
+        raise ValueError(
+            f"grid depth check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}"
+        )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
@@ -369,11 +313,15 @@ def event_c_check(
             if h:
                 level = np.maximum(level[:, 0::2], level[:, 1::2])
         violations += int(np.count_nonzero(bad))
-    return _rate_report(
-        trials,
-        violations,
-        epsilon**5,
-        {
+    rate = violations / trials
+    upper = wilson_ci(violations, trials)[1]
+    return VerificationReport(
+        trials=trials,
+        violations=violations,
+        bound=epsilon**5,
+        wilson_upper_95=upper,
+        passed=rate <= epsilon**5 + (upper - rate),
+        metadata={
             "suite": "eventc",
             "epsilon": epsilon,
             "check_depth": check_depth,
@@ -382,6 +330,7 @@ def event_c_check(
                 "intervals of depth <= check_depth only; the empirical rate "
                 "lower-bounds the untruncated violation probability"
             ),
+            "comparison": "empirical_rate <= bound + (wilson_upper_95 - empirical_rate)",
         },
     )
 

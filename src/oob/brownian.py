@@ -13,9 +13,11 @@ of a Brownian bridge on [a, b] with endpoint values (wa, wb):
     P(sup_{[a,b]} W > x | W(a)=wa, W(b)=wb) = exp(-2 (x - wa)(x - wb) / (b - a))
 
 valid for x >= max(wa, wb), both as an exceedance probability and as an
-exact inverse-CDF sampler. Combining one such draw per cell of a partition
-yields exact conditional samples of the global maximum given any finite
-evaluation set, which is what the verification harnesses rely on.
+exact inverse-CDF sampler. Given any finite evaluation set, the cells
+between consecutive points are independent bridges: the product of their
+non-exceedance probabilities is the exact conditional law of the global
+maximum, which the pac check uses, and one draw per cell is an exact
+sample of it, which the grid suites use.
 """
 
 from __future__ import annotations
@@ -119,25 +121,25 @@ def new_path(seed: int) -> BrownianPath:
     return BrownianPath(RandomSource(seed))
 
 
-def _check_interval(a: float, b: float) -> None:
-    if not b > a:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+def bridge_max_exceed_prob(
+    a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """P(sup of W over [a, b] exceeds x), given W(a)=wa and W(b)=wb, elementwise.
 
-
-def bridge_max_exceed_prob(a: float, b: float, wa: float, wb: float, x: float) -> float:
-    """P(sup of W over [a, b] exceeds x), given W(a)=wa and W(b)=wb.
-
-    Returns exp(-2 (x - wa)(x - wb) / (b - a)). The closed form only holds
-    for x at or above both endpoint values; below them the probability is
-    not given by this expression, so such x is rejected, as is a NaN.
+    Returns exp(-2 (x - wa)(x - wb) / (b - a)), broadcasting over cells like
+    :func:`bridge_max_from_uniforms`. Every cell needs a < b and finite
+    endpoint values, and the closed form only holds for x at or above both
+    endpoint values, so x below them is rejected; each check is written so
+    that a NaN fails it.
     """
-    _check_interval(a, b)
-    if not (x >= wa and x >= wb):
+    if not np.all((b > a) & np.isfinite(wa) & np.isfinite(wb)):
+        raise ValueError("every cell needs a < b and finite endpoint values")
+    if not np.all((x >= wa) & (x >= wb)):
         raise ValueError(
-            f"x must be >= max(wa, wb) = {max(wa, wb)}, got {x}: "
+            "x must be >= max(wa, wb) in every cell: "
             "the exceedance law is invalid below the endpoints"
         )
-    return math.exp(-2.0 * (x - wa) * (x - wb) / (b - a))
+    return np.exp(-2.0 * (x - wa) * (x - wb) / (b - a))
 
 
 def bridge_max_sample(rng: RandomSource, a: float, b: float, wa: float, wb: float) -> float:
@@ -147,7 +149,8 @@ def bridge_max_sample(rng: RandomSource, a: float, b: float, wa: float, wb: floa
     :func:`bridge_max_from_uniforms`. The result is always >= max(wa, wb)
     and is distributed as the maximum of the bridge.
     """
-    _check_interval(a, b)
+    if not b > a:
+        raise ValueError(f"need a < b, got a={a}, b={b}")
     return float(bridge_max_from_uniforms(rng.uniform_open(), b - a, wa, wb))
 
 

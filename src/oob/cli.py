@@ -141,15 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = commands.add_parser("verify", help="run one verification suite")
     suites = verify_p.add_subparsers(dest="suite", required=True)
 
-    pac_p = suites.add_parser("pac", help="exceedance rate of the final answer")
+    pac_p = suites.add_parser("pac", help="exact failure probability of the final answer")
     pac_p.add_argument("--epsilon", type=float, default=0.1)
     pac_p.add_argument("--trials", type=int, default=500)
-    pac_p.add_argument("--draws", type=int, default=100)
     _add_common(pac_p)
     pac_p.set_defaults(
-        handler=lambda args, seed: _verdict(
-            pac_estimate(args.epsilon, args.trials, args.draws, seed)
-        )
+        handler=lambda args, seed: _verdict(pac_estimate(args.epsilon, args.trials, seed))
     )
 
     lemma3_p = suites.add_parser("lemma3", help="near-optimal count bound")

@@ -35,9 +35,10 @@ __all__ = [
     "run_oob_on_path",
 ]
 
-# Dyadic times k * 2**-h are exact doubles far beyond this depth; the cap
-# exists to turn a runaway scan into a loud error instead of a hang.
-MAX_DEPTH = 60
+# Deepest cutoff h_max a run may have. Every dyadic time k * 2**-h with
+# h <= 53 is an exact double (k < 2**53 fits the 53-bit significand), so
+# no two midpoints of a run round to one time; at depth 54 they can.
+MAX_DEPTH = 53
 
 
 def eta(epsilon: float, delta: float) -> float:
@@ -61,7 +62,7 @@ def compute_h_max(epsilon: float) -> int:
     Scans linearly from h = 0 rather than bisecting: eta is not assumed
     monotone in the depth. Requires 0 < epsilon < 1/2, which makes
     epsilon * 2**-h <= 1/2 valid at every depth, and epsilon >= about
-    1.146e-8, the smallest epsilon that some depth h <= ``MAX_DEPTH``
+    1.217e-7, the smallest epsilon that some depth h <= ``MAX_DEPTH``
     reaches. Any other epsilon raises ``ValueError``.
     """
     if not 0.0 < epsilon < 0.5:
@@ -71,7 +72,7 @@ def compute_h_max(epsilon: float) -> int:
             return h
     raise ValueError(
         f"epsilon {epsilon} is too small: no depth h <= {MAX_DEPTH} has "
-        "eta(epsilon, 2**-h) <= epsilon (the smallest is about 1.146e-8)"
+        "eta(epsilon, 2**-h) <= epsilon (the smallest is about 1.217e-7)"
     )
 
 

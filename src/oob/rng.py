@@ -112,9 +112,8 @@ class RandomSource:
         :meth:`normal` calls; they are taken from batches of 128, 256, 512,
         ... variates, so most calls are a C-level list step instead of a
         numpy call. The batches run ahead of what is used, so the source's
-        stream is left at no defined place: a caller that needs the stream
-        past the first n draws rebuilds the source from its seed and skips
-        ``normals(n)``.
+        stream is left at no defined place; no caller draws from the source
+        after its feed.
         """
         batches = (self.normals(_FEED_FIRST_BATCH << i).tolist() for i in count())
         return chain.from_iterable(batches).__next__

@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from statistics import median
 
 import numpy as np
 import pytest
 
 import oob.analysis
+import oob.optimizer
 from oob import (
+    MAX_DEPTH,
     BrownianPath,
     RandomSource,
     baseline_separation,
     bridge_max_from_uniforms,
-    conditional_max_samples,
+    compute_h_max,
     derive_seed,
     eta,
     event_c_check,
     lemma3_mc,
-    new_path,
     pac_estimate,
-    run_oob_on_path,
+    run_oob,
     wilson_ci,
 )
-from oob.analysis import _BLOCK_CELLS, MAX_GRID_DEPTH
+from oob.analysis import MAX_GRID_DEPTH, _exceed_prob
 
 
 class _GridReached(Exception):
@@ -69,120 +71,134 @@ class TestWilson:
 
 
 class TestConditionalMax:
+    """The exact kernel P(M > x | evaluations) that pac applies to each run."""
+
     def test_dominates_evaluations(self):
+        # M is at least the best value, so at that x the probability is
+        # exactly 1; above it, it falls strictly into (0, 1).
         rng = RandomSource(5)
         for _ in range(100):
             interior = sorted(float(u) for u in rng.uniforms_open(3) * 0.98)
             times = [0.0] + interior + [1.0]
             values = [0.0] + [rng.normal() for _ in range(3)] + [rng.normal()]
             evals = list(zip(times, values))
-            assert conditional_max_samples(evals, rng, 1)[0] >= max(values)
+            best = max(values)
+            assert _exceed_prob(evals, best) == 1.0
+            assert 0.0 < _exceed_prob(evals, best + 0.5) < 1.0
 
     def test_validation(self):
-        rng = RandomSource(0)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0)], rng, 1)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.1, 0.0), (1.0, 0.0)], rng, 1)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (0.9, 0.0)], rng, 1)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (0.5, 1.0), (0.5, 1.0), (1.0, 0.0)], rng, 1)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (1.0, 0.0)], rng, 0)
-        # Non-finite times and values, which would give NaN or inf samples.
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (math.nan, 1.0), (1.0, 0.0)], rng, 3)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (0.5, math.nan), (1.0, 0.0)], rng, 3)
-        with pytest.raises(ValueError):
-            conditional_max_samples([(0.0, 0.0), (0.5, math.inf), (1.0, 0.0)], rng, 3)
+        bad = [
+            [],
+            [(0.0, 0.0)],
+            [(0.1, 0.0), (1.0, 0.0)],
+            [(0.0, 0.0), (0.9, 0.0)],
+            [(0.0, 0.0), (0.5, 1.0), (0.5, 1.0), (1.0, 0.0)],
+            [(0.0, 0.0), (0.7, 1.0), (0.5, 1.0), (1.0, 0.0)],
+            [(0.0, 0.0), (math.nan, 1.0), (1.0, 0.0)],
+            [(0.0, 0.0), (math.inf, 1.0), (1.0, 0.0)],
+            [(0.0, 0.0), (0.5, math.nan), (1.0, 0.0)],
+            [(0.0, 0.0), (0.5, math.inf), (1.0, 0.0)],
+            [(0.0, 0.0), (0.5, -math.inf), (1.0, 0.0)],
+        ]
+        for evals in bad:
+            with pytest.raises(ValueError):
+                _exceed_prob(evals, 2.0)
+        # x below the best value, by any margin, or NaN.
+        evals = [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]
+        for x in (0.5, math.nextafter(1.0, 0.0), math.nan):
+            with pytest.raises(ValueError):
+                _exceed_prob(evals, x)
 
-    def test_batched_matches_scalar_stream(self):
-        evals = [(0.0, 0.0), (0.25, 0.4), (0.7, -0.1), (1.0, 0.2)]
-        # Row-major draws: one call of 5 equals five calls of 1, bit for bit.
-        batch = conditional_max_samples(evals, RandomSource(9), 5)
-        twin = RandomSource(9)
-        singles = [conditional_max_samples(evals, twin, 1)[0] for _ in range(5)]
-        assert batch.tolist() == singles
+    @pytest.mark.parametrize("seed", [3, 10])
+    def test_matches_monte_carlo_draws(self, seed):
+        # One exact bridge-maximum draw per cell, maximized over cells, is a
+        # draw of M given the run; its exceedance rate at fixed x must sit
+        # within 4 standard errors of the kernel's probability.
+        result = run_oob(0.2, seed)
+        evals = [(0.0, 0.0), *sorted(result.trace)]
+        t, w = np.asarray(evals).T
+        u = RandomSource(derive_seed(seed, 1)).uniforms_open((20_000, len(t) - 1))
+        draws = bridge_max_from_uniforms(u, np.diff(t), w[:-1], w[1:]).max(axis=1)
+        for excess in (0.005, 0.01, 0.02, 0.04):
+            x = result.m_hat + excess
+            p = _exceed_prob(evals, x)
+            assert 1e-3 < p < 1.0
+            z = (np.mean(draws > x) - p) / math.sqrt(p * (1.0 - p) / len(draws))
+            assert abs(z) <= 4.0
 
     def test_excess_shrinks_with_refinement(self):
         # Paired across h: the same depth-12 walk thinned to depths 4, 8,
-        # and 12. Oracle draws of M given fewer points sit farther above
-        # the retained grid max, and the mean gap drops as points return.
+        # and 12. Given fewer points, M is likelier to sit far above the
+        # retained grid max, so the mean probability drops as points return.
         trials = 500
         means = {}
         for h in (4, 8, 12):
             stride = 4096 >> h
             total = 0.0
             for j in range(trials):
-                rng = RandomSource(derive_seed(47, j))
-                z = rng.normals(4096)
+                z = RandomSource(derive_seed(47, j)).normals(4096)
                 w = np.concatenate(([0.0], np.cumsum(z) * math.sqrt(1.0 / 4096)))
                 sub = w[::stride]
                 times = np.arange(0, 4097, stride) / 4096.0
-                evals = list(zip(times, sub))
-                oracle = RandomSource(derive_seed(derive_seed(47, j), h))
-                m = conditional_max_samples(evals, oracle, 1)[0]
-                assert m >= sub.max()
-                total += m - sub.max()
+                total += _exceed_prob(list(zip(times, sub)), sub.max() + 0.02)
             means[h] = total / trials
         assert means[4] > means[8] > means[12]
 
 
 class TestPacEstimate:
     def test_deterministic(self):
-        a = pac_estimate(0.1, trials=3, oracle_draws_per_trial=4, seed=5)
-        b = pac_estimate(0.1, trials=3, oracle_draws_per_trial=4, seed=5)
+        a = pac_estimate(0.1, trials=3, seed=5)
+        b = pac_estimate(0.1, trials=3, seed=5)
         assert a == b
 
     def test_report_accounting(self):
-        report = pac_estimate(0.15, trials=4, oracle_draws_per_trial=6, seed=2)
-        assert report.trials == 24
-        assert report.empirical_rate * report.trials == report.violations
+        # violations sums the runs' exact failure probabilities.
+        trials, seed = 4, 2
+        report = pac_estimate(0.15, trials, seed)
+        expected = 0.0
+        for j in range(trials):
+            result = run_oob(0.15, derive_seed(seed, j))
+            expected += _exceed_prob([(0.0, 0.0), *sorted(result.trace)], result.m_hat + 0.15)
+        assert report.trials == trials
+        assert report.violations == expected
+        assert report.empirical_rate == expected / trials
         assert report.bound == 0.15
-        assert report.metadata["runs"] == 4
-        assert report.wilson_upper_95 is not None
+        assert report.wilson_upper_95 == wilson_ci(expected, trials)[1]
+        assert report.metadata["comparison"] == "wilson_upper_95 <= bound"
 
     def test_small_run_passes(self):
-        # Exceedances are fifth-power rare; a small suite sees none.
-        report = pac_estimate(0.1, trials=40, oracle_draws_per_trial=50, seed=11)
-        assert report.violations == 0
+        # A sound run fails with probability near 1e-12 at eps = 0.1, so 40
+        # runs put the Wilson upper limit near 0.088, below eps.
+        report = pac_estimate(0.1, trials=40, seed=11)
+        assert report.empirical_rate < 1e-9
+        assert report.wilson_upper_95 < 0.1
         assert report.passed
 
-    @pytest.mark.parametrize("epsilon", [0.1, 0.01])
-    def test_blocked_draws_match_one_call(self, monkeypatch, epsilon):
-        # Runs of a few dozen (eps 0.1) or several hundred (eps 0.01) cells
-        # split 2,000 draws into several blocks; row-major draws make the
-        # blocks the rows of one call. The reference continues the stream of
-        # a path the scalar loop ran on, not a rebuilt source, so a pac that
-        # skips the wrong number of Gaussians fails here.
-        trials, draws, seed = 2, 2000, 8
-        one_call = conditional_max_samples
-        invert = oob.analysis.bridge_max_from_uniforms
-        blocks = []
+    @pytest.mark.parametrize("scale, passes", [(0.25, False), (0.5, True)])
+    def test_power_against_narrowed_widths(self, monkeypatch, scale, passes):
+        # Narrowing every confidence width (and with it h_max) to a quarter
+        # breaks the guarantee: the mean failure probability is about 0.13
+        # and the upper limit 0.16. At half width the optimizer is still
+        # sound, with an upper limit near 0.008.
+        width = oob.optimizer.eta
+        monkeypatch.setattr(oob.optimizer, "eta", lambda e, d: scale * width(e, d))
+        report = pac_estimate(0.1, 500, 0)
+        assert report.passed is passes
 
-        def record(u, lengths, left, right):
-            cell_max = invert(u, lengths, left, right)
-            blocks.append(cell_max.max(axis=1))
-            return cell_max
-
-        monkeypatch.setattr(oob.analysis, "bridge_max_from_uniforms", record)
-        report = pac_estimate(epsilon, trials, draws, seed)
-        monkeypatch.undo()  # the reference draws below go unrecorded
-        reference, exceedances = [], 0
-        for j in range(trials):
-            path = new_path(derive_seed(seed, j))
-            m_hat = run_oob_on_path(epsilon, path).m_hat
-            reference.append(one_call(path.evaluations(), path.rng, draws))
-            exceedances += int(np.count_nonzero(reference[-1] - m_hat > epsilon))
-        assert len(blocks) >= 2 * trials
-        assert np.array_equal(np.concatenate(blocks), np.concatenate(reference))
-        assert report.violations == exceedances
+    def test_smallest_epsilon_run_is_accepted(self):
+        # At the smallest epsilon compute_h_max accepts, the run reaches
+        # depth MAX_DEPTH, where every dyadic time is still an exact double.
+        epsilon = 1.217e-7
+        assert compute_h_max(epsilon) == MAX_DEPTH
+        result = run_oob(epsilon, 0)
+        times = [t for t, _ in result.trace]
+        assert len(set(times)) == result.n_evals
+        assert max(Fraction(t).denominator for t in times) == 2**MAX_DEPTH
+        p = _exceed_prob([(0.0, 0.0), *sorted(result.trace)], result.m_hat + epsilon)
+        assert 0.0 <= p < epsilon
 
     def test_builds_no_path(self, monkeypatch):
-        # pac takes the run from run_oob and continues the trial's stream
-        # from its seed; no per-trial BrownianPath is built.
+        # pac takes the run from run_oob; no per-trial BrownianPath is built.
         built = []
         init = BrownianPath.__init__
 
@@ -191,29 +207,32 @@ class TestPacEstimate:
             init(self, rng)
 
         monkeypatch.setattr(BrownianPath, "__init__", record)
-        pac_estimate(0.1, 3, 50, 0)
+        pac_estimate(0.1, 3, 0)
         assert built == []
 
-    def test_oracle_requests_stay_within_block(self, monkeypatch):
-        requests = []
-        draw = RandomSource.uniforms_open
+    def test_draws_no_uniforms_one_source_per_trial(self, monkeypatch):
+        # Each trial's run builds its own source; nothing is drawn after it.
+        built, uniforms = [], []
+        init = RandomSource.__init__
 
-        def record(self, shape):
-            requests.append(shape)
-            return draw(self, shape)
+        def record(self, seed):
+            built.append(seed)
+            init(self, seed)
 
-        monkeypatch.setattr(RandomSource, "uniforms_open", record)
-        pac_estimate(0.1, trials=3, oracle_draws_per_trial=5000, seed=4)
-        assert len(requests) > 3
-        assert max(rows * cells for rows, cells in requests) <= _BLOCK_CELLS
+        monkeypatch.setattr(RandomSource, "__init__", record)
+        monkeypatch.setattr(RandomSource, "uniforms_open", lambda self, shape: uniforms.append(shape))
+        monkeypatch.setattr(RandomSource, "uniform_open", lambda self: uniforms.append(1))
+        pac_estimate(0.1, 3, 4)
+        assert built == [derive_seed(4, j) for j in range(3)]
+        assert uniforms == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pac_estimate(0.6, 1, 1, 0)
-        with pytest.raises(ValueError):
-            pac_estimate(0.1, 0, 1, 0)
-        with pytest.raises(ValueError):
-            pac_estimate(0.1, 1, 0, 0)
+            pac_estimate(0.6, 1, 0)
+        with pytest.raises(ValueError, match="trials"):
+            pac_estimate(0.1, 0, 0)
+        with pytest.raises(ValueError, match="too small"):
+            pac_estimate(2e-8, 1, 0)
 
 
 def _trial_grid(trial_seed: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +346,14 @@ class TestLemma3:
         # before anything is allocated.
         with pytest.raises(_GridReached):
             lemma3_mc(MAX_GRID_DEPTH, 0.1, trials=1, seed=0)
-        for h in (MAX_GRID_DEPTH + 1, 34):
-            with pytest.raises(ValueError, match=f"h must be <= {MAX_GRID_DEPTH}"):
+        # The depth is checked first, so a depth whose bound would also
+        # overflow (2000) is refused for its depth.
+        for h in (MAX_GRID_DEPTH + 1, 34, 2000):
+            with pytest.raises(ValueError, match=f"grid depth h must be <= {MAX_GRID_DEPTH}"):
                 lemma3_mc(h, 0.1, trials=1, seed=0)
         assert grid_depths == [MAX_GRID_DEPTH]
 
-    @pytest.mark.parametrize("h,eta_value", [(2, 1e308), (2, 1e154), (2000, 0.1)])
+    @pytest.mark.parametrize("h,eta_value", [(2, 1e308), (2, 1e154)])
     def test_overflowing_bound_rejected(self, h, eta_value):
         # A finite eta whose bound 6*eta**2*2**h is not finite would pass
         # vacuously; it is refused before any draw.
@@ -413,7 +434,9 @@ class TestEventC:
         with pytest.raises(_GridReached):
             event_c_check(0.5, MAX_GRID_DEPTH, 1, 0)
         for depth in (MAX_GRID_DEPTH + 1, 34):
-            with pytest.raises(ValueError, match=f"check_depth must be <= {MAX_GRID_DEPTH}"):
+            with pytest.raises(
+                ValueError, match=f"grid depth check_depth must be <= {MAX_GRID_DEPTH}"
+            ):
                 event_c_check(0.5, depth, 1, 0)
         assert grid_depths == [MAX_GRID_DEPTH]
 

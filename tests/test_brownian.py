@@ -173,6 +173,26 @@ class TestExceedProb:
             with pytest.raises(ValueError):
                 bridge_max_exceed_prob(0.0, 1.0, wa, wb, x)
 
+    def test_elementwise_matches_scalar_calls(self):
+        # Arrays broadcast cell by cell: each element is the scalar call's
+        # value, and one bad cell anywhere refuses the whole call.
+        rng = RandomSource(19)
+        a = np.sort(rng.uniforms_open(32)) * 0.5
+        b = a + rng.uniforms_open(32) * 0.5
+        wa, wb = rng.normals(32), rng.normals(32)
+        x = float(np.maximum(wa, wb).max()) + 0.5
+        probs = bridge_max_exceed_prob(a, b, wa, wb, x)
+        assert probs.shape == (32,)
+        for i in range(32):
+            assert probs[i] == bridge_max_exceed_prob(a[i], b[i], wa[i], wb[i], x)
+        for name, value in (("b", a[3]), ("wa", math.nan), ("wb", math.inf)):
+            cells = {"a": a, "b": b.copy(), "wa": wa.copy(), "wb": wb.copy()}
+            cells[name][3] = value
+            with pytest.raises(ValueError):
+                bridge_max_exceed_prob(**cells, x=x)
+        with pytest.raises(ValueError):
+            bridge_max_exceed_prob(a, b, wa, wb, np.where(np.arange(32) == 5, -9.0, x))
+
     def test_monte_carlo_cross_check(self):
         # Discrete bridge on a depth-12 grid; its running max slightly
         # undershoots the continuous sup, so the empirical exceedance sits

@@ -30,7 +30,7 @@ def is_one_error_line(err):
 COMMANDS = [
     ["run", "--epsilon", "0.1"],
     ["sweep", "--epsilons", "0.1", "--trials", "1"],
-    ["verify", "pac", "--draws", "1", "--trials", "1"],
+    ["verify", "pac", "--trials", "1"],
     ["verify", "lemma3", "--trials", "1"],
     ["verify", "eventc", "--trials", "1"],
     ["verify", "baseline", "--trials", "1"],
@@ -48,14 +48,16 @@ REFUSED = [
     (["sweep", "--trials", "2", "--epsilons"], ","),
     (["verify", "eventc", "--trials", "2", "--epsilon"], "0.51"),
     *((command[:-1], "0") for command in COMMANDS[1:]),
-    (["verify", "pac", "--trials", "1", "--draws"], "0"),
     (["verify", "eventc", "--trials", "1", "--depth"], "0"),
     (["verify", "lemma3", "--trials", "1", "--depth"], "-1"),
+    (["verify", "eventc", "--trials", "1", "--depth"], "21"),
+    (["verify", "lemma3", "--trials", "1", "--depth"], "21"),
+    (["verify", "lemma3", "--trials", "1", "--depth"], "2000"),
     *(([*command, "--seed"], seed) for command in COMMANDS for seed in ("-1", str(2**64))),
     *((command, f"OOB_SEED={seed}") for command in COMMANDS for seed in ("-1", str(2**64))),
 ]
 # What a refusal must name, by the flag or variable that set the refused value.
-REFUSED_NAMES = {"--seed": "--seed", "OOB_SEED": "OOB_SEED", "--depth": "depth", "--draws": "draws"}
+REFUSED_NAMES = {"--seed": "--seed", "OOB_SEED": "OOB_SEED", "--depth": "depth"}
 
 
 class TestRun:
@@ -98,7 +100,7 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["n_evals"] <= 2**20
 
-    # No depth h <= MAX_DEPTH reaches an epsilon below about 1.146e-8, and at
+    # No depth h <= MAX_DEPTH reaches an epsilon below about 1.217e-7, and at
     # 1e-320 epsilon * 2**-h underflows to 0: both are usage errors, refused
     # before any draw, also when they follow a usable epsilon in a list. So
     # is every value in REFUSED, each checked only by the library.
@@ -214,7 +216,7 @@ class TestVerify:
     def test_pac_small_passes(self, tmp_path, capsys):
         target = tmp_path / "pac.json"
         code, out, _ = run_cli(
-            ["verify", "pac", "--epsilon", "0.1", "--trials", "5", "--draws", "5",
+            ["verify", "pac", "--epsilon", "0.1", "--trials", "40",
              "--seed", "1", "--out", str(target)],
             capsys,
         )
@@ -225,7 +227,22 @@ class TestVerify:
             "wilson_upper_95", "passed", "metadata",
         ]
         assert report["passed"] is True
-        assert report["trials"] == 25
+        assert report["trials"] == 40
+
+    def test_pac_rejects_draws_flag(self, capsys):
+        # pac computes each run's exact failure probability; it takes no draws.
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "pac", "--draws", "5", "--trials", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --draws 5" in capsys.readouterr().err
+
+    def test_pac_epsilon_below_floor_exits_2(self, capsys):
+        # 2e-8 needs depth 59, past MAX_DEPTH = 53; the refusal names the floor.
+        code, out, err = run_cli(["verify", "pac", "--epsilon", "2e-8", "--trials", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "about 1.217e-7" in err
+        assert is_one_error_line(err)
 
     def test_failing_suite_exits_1(self, capsys):
         # Depth-0 grids with eta = 0.1 average well above the quadratic

@@ -58,8 +58,8 @@ class TestHMax:
             with pytest.raises(ValueError):
                 compute_h_max(bad)
 
-    # Floor at 1e-6: far smaller targets need depths past the 60-level
-    # cap (1e-8 already wants h = 61), which are refused.
+    # Floor at 1e-6: far smaller targets need depths past the 53-level
+    # cap (1e-7 already wants h = 54), which are refused.
     @given(st.floats(1e-6, 0.4999))
     @settings(max_examples=200, deadline=None)
     def test_postcondition(self, epsilon):
@@ -69,9 +69,9 @@ class TestHMax:
             assert eta(epsilon, 2.0**-smaller) > epsilon
 
     def test_depth_cap_is_hard_error(self):
-        # The smallest reachable epsilon is about 1.146e-8, reached at h = 60.
-        assert compute_h_max(1.147e-8) == 60
-        for tiny in (1.145e-8, 1e-9, 1e-320):
+        # The smallest reachable epsilon is about 1.217e-7, reached at h = 53.
+        assert compute_h_max(1.217e-7) == 53
+        for tiny in (1.216e-7, 2e-8, 1e-9, 1e-320):
             with pytest.raises(ValueError):
                 compute_h_max(tiny)
 
