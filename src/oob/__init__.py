@@ -31,7 +31,7 @@ from .optimizer import (
     run_oob,
     run_oob_on_path,
 )
-from .rng import MASK64, RandomSource, derive_seed, sources, splitmix64
+from .rng import MASK64, RandomSource, derive_seed, splitmix64
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "pac_estimate",
     "run_oob",
     "run_oob_on_path",
-    "sources",
     "splitmix64",
     "wilson_ci",
 ]

@@ -9,11 +9,10 @@ exact sample of M. No discretization bias enters anywhere.
 
 Every harness returns a :class:`VerificationReport` with its counts, the
 theoretical bound, a Wilson confidence limit where a rate is being tested,
-and a pass verdict. Trial j of a suite seeded with s always uses the child
-seed ``derive_seed(s, j)``, or ``derive_seed(derive_seed(s, i), j)`` at
-baseline grid level i, so suites are reproducible trial-by-trial and safe
-to parallelize (counts reduce by summing). The grid suites (lemma3, eventc,
-baseline) all draw their trials through :func:`_grid_blocks`.
+and a pass verdict. Run j of pac, seeded with s, uses the child seed
+``derive_seed(s, j)``. The grid suites (lemma3, eventc, baseline) draw
+their trials through :func:`_grid_blocks` from two streams per call, see
+:func:`_grid_streams`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .brownian import bridge_max_exceed_prob, bridge_max_from_uniforms
 from .optimizer import compute_h_max, eta, run_oob
-from .rng import RandomSource, derive_seed, sources
+from .rng import RandomSource, derive_seed
 
 # Kept only as the benchmark tracer's hook targets until the next benchmark change retires them.
 from .brownian import bridge_max_sample, new_path
@@ -180,36 +179,39 @@ _BLOCK_CELLS = 1 << 15
 MAX_GRID_DEPTH = 20
 
 
+def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
+    """The Gaussian and the uniform stream of a grid-suite call seeded ``seed``."""
+    return RandomSource(derive_seed(seed, 0)), RandomSource(derive_seed(seed, 1))
+
+
 def _grid_blocks(
-    streams: Iterator[RandomSource], trials: int, depth: int
+    gaussians: RandomSource, uniforms: RandomSource, trials: int, depth: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """W on the depth-``depth`` dyadic grid plus one exact sup draw per cell.
 
-    Takes the next ``trials`` sources of ``streams``, one per trial, and
-    yields ``(w, sups)`` for consecutive blocks of trials, in trial order;
-    later sources are left for the caller. Each trial's stream draws
-    ``normals(2**depth)`` and then ``uniforms_open(2**depth)``; the callers
-    seed the streams with :func:`~oob.rng.sources`, whose chunks do not
-    depend on the blocks. ``w`` has shape ``(rows, 2**depth + 1)`` with
+    Yields ``(w, sups)`` for consecutive blocks of ``trials`` trials, in
+    trial order. Trial j is row j: with n = 2**depth, it takes Gaussians
+    ``[j*n, (j+1)*n)`` of ``gaussians`` and the uniforms at the same
+    indices of ``uniforms``, counted from where each stream stands. A
+    block draws one ``normals`` and one ``uniforms_open`` call, which equal
+    the same draws taken row by row, so neither the rows per block nor
+    ``trials`` changes a trial's draws. Once the blocks are exhausted,
+    each stream has advanced by exactly ``trials * n`` draws. ``w`` has shape ``(rows, n + 1)`` with
     ``w[:, 0] = 0`` and the in-order sums of the Gaussians scaled by
-    ``sqrt(2**-depth)`` after the sum; ``sups`` has shape
-    ``(rows, 2**depth)``, cell k's sup drawn from the bridge pinned at
-    ``w[:, k]`` and ``w[:, k + 1]``. A block has
-    ``max(1, _BLOCK_CELLS >> depth)`` rows, the last one fewer.
+    ``sqrt(2**-depth)`` after the sum; ``sups`` has shape ``(rows, n)``,
+    cell k's sup drawn from the bridge pinned at ``w[:, k]`` and
+    ``w[:, k + 1]``. A block has ``max(1, _BLOCK_CELLS >> depth)`` rows,
+    the last one fewer.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, _BLOCK_CELLS >> depth)
     for start in range(0, trials, block):
         rows = min(block, trials - start)
-        z = np.empty((rows, n))
-        u = np.empty((rows, n))
-        for i, rng in zip(range(rows), streams):
-            z[i] = rng.normals(n)
-            u[i] = rng.uniforms_open(n)
         w = np.zeros((rows, n + 1))
-        np.cumsum(z, axis=1, out=w[:, 1:])
+        np.cumsum(gaussians.normals(rows * n).reshape(rows, n), axis=1, out=w[:, 1:])
         w[:, 1:] *= math.sqrt(length)
+        u = uniforms.uniforms_open((rows, n))
         yield w, bridge_max_from_uniforms(u, length, w[:, :-1], w[:, 1:])
 
 
@@ -217,12 +219,11 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     """Check that E[near-optimal count at depth h] <= 6 * eta**2 * 2**h.
 
     Per trial: walk W on the depth-h grid, draw one exact sup per cell
-    (normals, then uniforms, from the trial's own stream; see
-    :func:`_grid_blocks`), take the maximum reference M as the max of those
-    draws, and count grid points within eta of M. Given the grid, the
-    cells are independent bridges, so the max of one exact draw per cell
-    has exactly the conditional law of the global maximum: (grid, M) has
-    its exact joint law and a finer walk would change nothing but the
+    (see :func:`_grid_blocks`), take the maximum reference M as the max of
+    those draws, and count grid points within eta of M. Given the grid,
+    the cells are independent bridges, so the max of one exact draw per
+    cell has exactly the conditional law of the global maximum: (grid, M)
+    has its exact joint law and a finer walk would change nothing but the
     cost. Passes when mean count + 3 standard errors <= the bound; this is
     a one-sided bound check, so only overshoot fails it.
 
@@ -242,11 +243,10 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     bound = 6.0 * eta * eta * 2.0**h
     if not math.isfinite(bound):
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
-    streams = sources(derive_seed(seed, j) for j in range(trials))
     counts = np.concatenate(
         [
             np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
-            for w, sups in _grid_blocks(streams, trials, h)
+            for w, sups in _grid_blocks(*_grid_streams(seed), trials, h)
         ]
     )
     mean = float(counts.mean())
@@ -276,15 +276,15 @@ def event_c_check(
     """Estimate how often some dyadic interval beats its optimistic bound.
 
     Per trial: walk W on the depth-``check_depth`` grid and draw one exact
-    sup sample per finest cell (normals, then uniforms, from the trial's
-    own stream; see :func:`_grid_blocks`). Sups of coarser dyadic
-    intervals are the maxima of their cells' draws, reused consistently up
-    the tree, so all (2**(check_depth+1) - 1) interval sups come from one
-    coherent joint sample. The trial is a violation if any interval's sup
-    exceeds its bound max(endpoints) + eta(epsilon, length). The
-    theoretical bound on the violation probability is epsilon**5. Trials
-    are checked a block at a time, level by level from the finest; the
-    per-trial verdicts are those of checking each trial alone.
+    sup sample per finest cell (see :func:`_grid_blocks`). Sups of coarser
+    dyadic intervals are the maxima of their cells' draws, reused
+    consistently up the tree, so all (2**(check_depth+1) - 1) interval
+    sups come from one coherent joint sample. The trial is a violation if
+    any interval's sup exceeds its bound max(endpoints) + eta(epsilon,
+    length). The theoretical bound on the violation probability is
+    epsilon**5. Trials are checked a block at a time, level by level from
+    the finest; the per-trial verdicts are those of checking each trial
+    alone.
 
     Only depths h <= check_depth are examined, so the empirical rate is a
     lower bound for the untruncated event; deeper intervals contribute a
@@ -303,8 +303,7 @@ def event_c_check(
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     violations = 0
-    streams = sources(derive_seed(seed, j) for j in range(trials))
-    for w, sups in _grid_blocks(streams, trials, check_depth):
+    for w, sups in _grid_blocks(*_grid_streams(seed), trials, check_depth):
         bad = np.zeros(len(w), dtype=bool)
         level = sups
         for h in range(check_depth, -1, -1):
@@ -347,14 +346,13 @@ def baseline_separation(
     For each grid size n, the median conditional error M - m_hat is
     measured over ``trials`` fresh paths, m_hat being the best grid value
     (t = 0 included) and M the max of the exact cell sups: each trial is a
-    row of :func:`_grid_blocks` at depth log2(n). Trial j of level i has
-    the seed ``derive_seed(derive_seed(seed, i), j)``, so adding a level
-    leaves the others' draws unchanged; one :func:`~oob.rng.sources`
-    generator seeds every level. ``grid_sizes`` must be strictly
-    increasing powers of two up to ``2**MAX_GRID_DEPTH``. For each target
-    epsilon, in decreasing order, the smallest grid size whose median
-    error is <= epsilon is divided by the optimizer's mean evaluation
-    count at that epsilon. The suite passes when every target is
+    row of :func:`_grid_blocks` at depth log2(n). The levels draw in turn,
+    in increasing grid size, from one pair of grid streams seeded ``seed``,
+    so appending a larger size leaves every earlier level's draws
+    unchanged. ``grid_sizes`` must be strictly increasing powers of two up
+    to ``2**MAX_GRID_DEPTH``. For each target epsilon, in decreasing
+    order, the smallest grid size whose median error is <= epsilon is
+    divided by the optimizer's mean evaluation count at that epsilon. The suite passes when every target is
     reachable, the cost ratio strictly grows as epsilon shrinks, and the
     ratio at the smallest epsilon is at least 3. One violation is counted
     per epsilon level that breaks its part of that contract. Every
@@ -375,11 +373,10 @@ def baseline_separation(
     if trials < 1 or oob_runs < 1:
         raise ValueError("trials and oob_runs must be >= 1")
 
-    levels = range(len(grid_sizes))
-    streams = sources(derive_seed(derive_seed(seed, i), j) for i in levels for j in range(trials))
+    streams = _grid_streams(seed)
     medians = {}
     for n in grid_sizes:
-        blocks = _grid_blocks(streams, trials, int(n).bit_length() - 1)
+        blocks = _grid_blocks(*streams, trials, int(n).bit_length() - 1)
         errors = [sups.max(axis=1) - w.max(axis=1) for w, sups in blocks]
         medians[n] = median(np.concatenate(errors).tolist())
 

@@ -6,25 +6,19 @@ standard Gaussians and uniforms on the half-open interval (0, 1].
 
 Reproducibility contract: a source built from a given seed always yields the
 same draw sequence, and every operation in this package documents how many
-draws it consumes and in what order. Experiments with many independent
-trials derive one child seed per trial via :func:`derive_seed`, so trials
-can run in any order, or in parallel, without changing results.
-
-:func:`sources` builds the sources of many seeds at once: it hashes the
-seeds into PCG64 states in one numpy pass per chunk, with the arithmetic of
-numpy's ``SeedSequence``, so each source it yields has exactly the stream of
-``RandomSource(seed)`` at a fraction of the per-seed cost.
+draws it consumes and in what order. Experiments derive their child seeds
+from one root seed via :func:`derive_seed`: one per optimizer run, and one
+per random stream of a grid suite.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, count, islice
+from collections.abc import Callable
+from itertools import chain, count
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["MASK64", "RandomSource", "derive_seed", "sources", "splitmix64"]
+__all__ = ["MASK64", "RandomSource", "derive_seed", "splitmix64"]
 
 MASK64 = (1 << 64) - 1
 
@@ -60,7 +54,7 @@ def _check_u64(value: int, name: str = "seed") -> int:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Child seed for trial ``index`` of an experiment rooted at ``seed``.
+    """Child seed ``index`` of an experiment rooted at ``seed``.
 
     Defined as ``seed XOR splitmix64(index)``. The scramble spreads child
     seeds across the 64-bit range even for consecutive indices, and the
@@ -81,15 +75,15 @@ class RandomSource:
     doubles mapped from [0, 1) to (0, 1] by ``u -> 1 - u`` so that
     ``log(u)`` is always finite.
 
-    Two sources built from equal seeds produce identical sequences. Scalar
+    Two instances built from equal seeds produce identical sequences. Scalar
     and batch calls draw the same underlying variates from one stream: the
     values of ``normals(n)`` are those of n ``normal()`` calls, and either
     leaves the stream at the same place (likewise for uniforms). The
-    optimizer relies on this through :meth:`normal_feed`.
+    optimizer relies on this through :meth:`normal_feed`, and the grid
+    suites through their blocks: a block of rows draws the same values as
+    those rows drawn one at a time.
 
-    The constructor seeds PCG64 through numpy's ``SeedSequence(seed)``; it
-    is the reference that :func:`sources`, the batch path for many seeds,
-    reproduces.
+    The constructor seeds PCG64 through numpy's ``SeedSequence(seed)``.
     """
 
     __slots__ = ("seed", "_gen")
@@ -130,112 +124,3 @@ class RandomSource:
         """Uniform draws on (0, 1] with the given shape."""
         return 1.0 - self._gen.random(shape)
 
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for a
-# pool of 4 32-bit words.
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, steps: int) -> list[int]:
-    """The running hash constant of ``steps`` hashmix calls, before and after each."""
-    constants = [init]
-    for _ in range(steps):
-        constants.append(constants[-1] * mult & _MASK32)
-    return constants
-
-
-def _column(values: list[int]) -> np.ndarray:
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-# The hash constant runs through a fixed sequence whatever the seed, so each
-# hashmix step's xor and multiplier are known up front: step i xors with
-# constant i and multiplies by constant i + 1.
-_A = _hash_constants(_INIT_A, _MULT_A, 16)
-_B = _hash_constants(_INIT_B, _MULT_B, 8)
-# Pool start: word i is hashmix(entropy word i), steps 0..3.
-_POOL_XOR, _POOL_MULT = _column(_A[0:4]), _column(_A[1:5])
-# Cross-mix: for each source word in order, every other word in order takes
-# mix(word, hashmix(source word)), steps 4..15. The source word does not
-# change while it is mixed into the other three, so its three hashmix steps
-# run as one (3, n) operation.
-_CROSS = [
-    (
-        src,
-        [dst for dst in range(4) if dst != src],
-        _column(_A[k : k + 3]),
-        _column(_A[k + 1 : k + 4]),
-    )
-    for src, k in zip(range(4), range(4, 16, 3))
-]
-# Output: 8 words, word i hashed from pool word i % 4 with the B constants;
-# read as 4 little-endian uint64, the PCG64 seeding request.
-_OUT_XOR, _OUT_MULT = _column(_B[0:8]), _column(_B[1:9])
-_OUT_WORDS = [0, 1, 2, 3, 0, 1, 2, 3]
-
-# Seeds hashed per numpy pass of :func:`sources`: large enough that the fixed
-# cost of a pass (about 0.1 ms) is spread thin, small enough that its arrays
-# stay a few hundred kB at any seed count.
-_HASH_CHUNK = 1024
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    words = (words ^ xor) * mult
-    return words ^ (words >> _XSHIFT)
-
-
-def _pcg64_states(seeds: list[int]) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, as rows.
-
-    Seeds are validated 64-bit integers. A seed's entropy words are its low
-    and high 32 bits: numpy drops the high word of a seed below 2**32, but
-    it pads the 4-word pool with zeros either way, so the pool is the same.
-    uint32 array arithmetic wraps modulo 2**32 as the reference does.
-    """
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
-    pool = _hashmix(pool, _POOL_XOR, _POOL_MULT)
-    for src, dst, xor, mult in _CROSS:
-        mixed = pool[dst] * _MIX_MULT_L - _hashmix(pool[src], xor, mult) * _MIX_MULT_R
-        pool[dst] = mixed ^ (mixed >> _XSHIFT)
-    words = _hashmix(pool[_OUT_WORDS], _OUT_XOR, _OUT_MULT)
-    return np.ascontiguousarray(words.T).view("<u8").astype(np.uint64)
-
-
-class _HashedSeed(ISeedSequence):
-    """A seed sequence whose one answer, PCG64's seeding request, is precomputed."""
-
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != len(self._state) or np.dtype(dtype) != self._state.dtype:
-            raise ValueError("only the PCG64 seeding request is precomputed")
-        return self._state
-
-
-def sources(seeds: Iterable[int]) -> Iterator[RandomSource]:
-    """One :class:`RandomSource` per seed, in order, built lazily.
-
-    Each yielded source has exactly the stream of ``RandomSource(seed)``:
-    its PCG64 state is numpy's ``SeedSequence(seed)`` output, computed for
-    up to ``_HASH_CHUNK`` seeds at a time by one array pass instead of one
-    ``SeedSequence`` per seed. Seeds are validated as the constructor
-    validates them, a chunk at a time, before any source of the chunk is
-    yielded.
-    """
-    seeds = iter(seeds)
-    new = RandomSource.__new__
-    while chunk := [_check_u64(seed) for seed in islice(seeds, _HASH_CHUNK)]:
-        for seed, state in zip(chunk, _pcg64_states(chunk)):
-            source = new(RandomSource)
-            source.seed = seed
-            source._gen = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
-            yield source

@@ -38,7 +38,7 @@ def grid_depths(monkeypatch):
     """Depths the grid suites ask ``_grid_blocks`` for; no grid is drawn."""
     depths = []
 
-    def refuse(streams, trials, depth):
+    def refuse(gaussians, uniforms, trials, depth):
         depths.append(depth)
         raise _GridReached
 
@@ -235,17 +235,31 @@ class TestPacEstimate:
             pac_estimate(2e-8, 1, 0)
 
 
-def _trial_grid(trial_seed: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference draws of one trial: the dyadic walk, then one sup per cell."""
-    rng = RandomSource(trial_seed)
+def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
+    """The Gaussian and the uniform stream of a grid-suite call seeded ``seed``."""
+    return RandomSource(derive_seed(seed, 0)), RandomSource(derive_seed(seed, 1))
+
+
+def _trial_grid(gaussians: RandomSource, uniforms: RandomSource, trials: int, depth: int):
+    """Reference draws of ``trials`` grid trials, as ``(w, sups)`` per trial.
+
+    All Gaussians are drawn here in one ``normals(trials * n)`` call and all
+    uniforms in one ``uniforms_open((trials, n))`` call; trial j is row j,
+    whose walk and cell sups are then built on their own.
+    """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
-    w = np.empty(n + 1)
-    w[0] = 0.0
-    np.cumsum(rng.normals(n), out=w[1:])
-    w[1:] *= math.sqrt(length)
-    u = rng.uniforms_open(n)
-    return w, bridge_max_from_uniforms(u, length, w[:-1], w[1:])
+    z = gaussians.normals(trials * n).reshape(trials, n)
+    u = uniforms.uniforms_open((trials, n))
+
+    def trial(z_row, u_row):
+        w = np.empty(n + 1)
+        w[0] = 0.0
+        np.cumsum(z_row, out=w[1:])
+        w[1:] *= math.sqrt(length)
+        return w, bridge_max_from_uniforms(u_row, length, w[:-1], w[1:])
+
+    return (trial(z_row, u_row) for z_row, u_row in zip(z, u))
 
 
 def _reference_lemma3_counts(
@@ -253,8 +267,7 @@ def _reference_lemma3_counts(
 ) -> np.ndarray:
     """Per-trial near-optimal counts at depth h, M drawn on a walk_depth grid."""
     counts = np.empty(trials)
-    for j in range(trials):
-        w, sups = _trial_grid(derive_seed(seed, j), walk_depth)
+    for j, (w, sups) in enumerate(_trial_grid(*_grid_streams(seed), trials, walk_depth)):
         counts[j] = np.count_nonzero(w[:: 1 << (walk_depth - h)] >= sups.max() - eta_value)
     return counts
 
@@ -265,8 +278,7 @@ def _reference_event_c_violations(
     """Per-trial event-C check, stopping at the first violating level."""
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     violations = 0
-    for j in range(trials):
-        w, level = _trial_grid(derive_seed(seed, j), check_depth)
+    for w, level in _trial_grid(*_grid_streams(seed), trials, check_depth):
         for h in range(check_depth, -1, -1):
             ends = w[:: 1 << (check_depth - h)]
             if np.any(level > np.maximum(ends[:-1], ends[1:]) + widths[h]):
@@ -362,9 +374,10 @@ class TestLemma3:
 
 
 class TestGridStreams:
-    def test_builds_no_source_through_constructor(self, monkeypatch):
-        # The grid suites seed their trial streams through rng.sources,
-        # one hash pass per chunk of trials.
+    def test_two_sources_per_call(self, monkeypatch):
+        # Each grid-suite call seeds one Gaussian and one uniform stream,
+        # whatever its trial count or block count; the baseline adds one
+        # source per optimizer run.
         built = []
         init = RandomSource.__init__
 
@@ -373,23 +386,16 @@ class TestGridStreams:
             init(self, seed)
 
         monkeypatch.setattr(RandomSource, "__init__", record)
-        lemma3_mc(6, 0.1, 60, 3)
-        event_c_check(0.5, 4, 50, 3)
-        assert built == []
-        # The baseline builds sources through the constructor only for its
-        # optimizer runs, one per run at each epsilon.
+        pair = [derive_seed(3, 0), derive_seed(3, 1)]
+        lemma3_mc(15, 0.02, 3, 3)
+        assert built == pair
+        built.clear()
+        event_c_check(0.5, 4, 5000, 3)
+        assert built == pair
+        built.clear()
         baseline_separation((0.05, 0.01), (16, 64, 256), trials=5, oob_runs=3, seed=3)
-        assert len(built) == 2 * 3
-
-    def test_hashes_once_across_blocks(self, hash_calls):
-        # At h = 15 a block holds one trial; the seeds are hashed in one
-        # chunk all the same.
-        lemma3_mc(15, 0.02, 40, 5)
-        assert hash_calls == [40]
-
-    def test_baseline_hashes_every_level_in_one_pass(self, hash_calls):
-        baseline_separation(grid_sizes=(16, 64, 256), trials=5, oob_runs=1, seed=3)
-        assert hash_calls == [15]
+        assert built[:2] == pair
+        assert len(built) == 2 + 2 * 3
 
 
 class TestEventC:
@@ -401,10 +407,10 @@ class TestEventC:
         assert tight.empirical_rate <= loose.empirical_rate
 
     @pytest.mark.parametrize(
-        "check_depth,trials,seed", [(4, 6000, 1), (5, 4000, 1), (8, 4000, 1)]
+        "check_depth,trials,seed", [(4, 6000, 3), (5, 4000, 3), (8, 4000, 1)]
     )
     def test_matches_per_trial_reference(self, check_depth, trials, seed):
-        # Settings picked for having violations (2, 1 and 3); their trials
+        # Settings picked for having violations (2, 3 and 2); their trials
         # span 3, 4 and 32 blocks.
         violations = _reference_event_c_violations(0.5, check_depth, trials, seed)
         assert violations > 0
@@ -444,16 +450,16 @@ class TestEventC:
 class TestBaseline:
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_oracle_matches_scalar_reference(self, seed):
-        # Exact, trial by trial: level i's trial j is the dyadic grid trial
-        # of seed derive_seed(derive_seed(seed, i), j). Trial counts 4..8
-        # give even and odd medians; at 8192 points a block holds 4 trials.
+        # Exact, trial by trial: the levels draw their grid trials in turn,
+        # in increasing size, from one pair of grid streams. Trial counts
+        # 4..8 give even and odd medians; at 8192 points a block holds 4
+        # trials.
         grid_sizes, trials = (1, 16, 256, 8192), 4 + seed
         report = baseline_separation(grid_sizes=grid_sizes, trials=trials, oob_runs=1, seed=seed)
-        for i, n in enumerate(grid_sizes):
-            errors = []
-            for j in range(trials):
-                w, sups = _trial_grid(derive_seed(derive_seed(seed, i), j), n.bit_length() - 1)
-                errors.append(sups.max() - w.max())
+        streams = _grid_streams(seed)
+        for n in grid_sizes:
+            grids = _trial_grid(*streams, trials, n.bit_length() - 1)
+            errors = [sups.max() - w.max() for w, sups in grids]
             assert report.metadata["median_errors"][str(n)] == float(median(errors))
 
     def test_added_level_keeps_earlier_levels(self):

@@ -19,15 +19,18 @@ from oob import (
     bridge_max_exceed_prob,
     bridge_max_from_uniforms,
     bridge_max_sample,
-    derive_seed,
     new_path,
-    sources,
 )
 
 
 def _paths(seed, n):
-    """``new_path(derive_seed(seed, j))`` for j < n, seeded in batches."""
-    return (BrownianPath(src) for src in sources(derive_seed(seed, j) for j in range(n)))
+    """``n`` paths on one shared stream, each used up before the next is built.
+
+    The paths take consecutive stretches of one stream, so they are
+    independent; seeding one stream per path would cost far more.
+    """
+    rng = RandomSource(seed)
+    return (BrownianPath(rng) for _ in range(n))
 
 
 class TestPathBasics:

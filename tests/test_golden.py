@@ -1,17 +1,23 @@
 """Golden output hashes: the bytes every pinned command writes.
 
-Each case runs in-process and hashes exactly what it writes. A change that
-keeps these digests leaves the random stream and every output byte of the
-pinned commands untouched; a change that alters the stream on purpose must
-re-pin them and say why.
+Each case runs in-process and hashes exactly what it writes; one more test
+recomputes them all in a child process with numpy's run-time SIMD dispatch
+switched off. A change that keeps these digests leaves the random stream
+and every output byte of the pinned commands untouched; a change that
+alters the stream on purpose must re-pin them and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from oob import baseline_separation
 from oob.cli import main
@@ -35,15 +41,15 @@ CLI_GOLDEN = [
         id="verify-pac",
     ),
     pytest.param(
-        # 3 violations; at depth 8 the 4000 trials span 32 trial blocks.
+        # 2 violations, so the verdict rests on drawn counts, not on zero.
         ["verify", "eventc", "--epsilon", "0.5", "--depth", "8", "--trials", "4000", "--seed", "1"],
-        "2a8cf3faf52b862e82727d8893919aec8aff970ccf5f02f35e90be1ba70c2780",
+        "a69d35b31863e915a8c9f457ff23c64f650d4e868080fa5f9d463afd25a6c153",
         id="verify-eventc",
     ),
     pytest.param(
-        # Pinned with the depth-h maximum reference (no finer walk); 3 blocks.
+        # Pinned with the depth-h maximum reference (no finer walk).
         ["verify", "lemma3", "--depth", "8", "--eta", "0.05", "--trials", "300", "--seed", "3"],
-        "f9e877decab9c8b1b6d1627a1e21052fda72241e9f44c043ac7018f8e08dda25",
+        "ac51089fd12eeef23f4bdc8bd00d8ff1c24869bee0d9f85bccca5bde7889e177",
         id="verify-lemma3",
     ),
     pytest.param(
@@ -53,32 +59,71 @@ CLI_GOLDEN = [
     ),
     pytest.param(
         ["verify", "baseline", "--trials", "5", "--seed", "1"],
-        "904521429816827adbee425b94bdedea1502971656e280f03bdea685dd1d83ba",
+        "fa4b55e6760765f6cf3f549cb26b4914eece916c00a6f7dea12b9ba0c02ae1e8",
         id="verify-baseline",
     ),
 ]
+
+
+BASELINE_GOLDEN = "f639d8591e2cc34e5a3102a310c1777eb2f15ca686f1bd03deb6492dc61da5c9"
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv,digest", CLI_GOLDEN)
-def test_cli_output_bytes(argv, digest, tmp_path):
-    target = tmp_path / "out"
+def _cli_digest(argv: list[str], directory: Path) -> str:
+    target = directory / "out"
     assert main([*argv, "--out", str(target)]) == 0
-    assert _sha256(target.read_bytes()) == digest
+    return _sha256(target.read_bytes())
 
 
-def test_baseline_separation_json(tmp_path):
-    # The grids are dyadic grid trials, the walk lemma3 and eventc share;
-    # test_analysis.py::TestBaseline::test_batched_oracle_matches_scalar_reference
-    # pins them to a per-trial reference.
+def _baseline_digest() -> str:
     report = baseline_separation(
         grid_sizes=(16, 64, 256, 1024, 4096), trials=3, oob_runs=5, seed=5
     )
-    target = tmp_path / "baseline.json"
-    target.write_text(json.dumps(report.to_json_dict(), sort_keys=True))
-    assert _sha256(target.read_bytes()) == (
-        "878f9b8bbcdd59b710616350bab9f01ca0f9b8b4831c1bf533cec765c1b35205"
+    return _sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+
+
+def digests(directory: Path) -> list[str]:
+    """Every pinned digest, recomputed: CLI_GOLDEN's in order, then the baseline's."""
+    return [_cli_digest(p.values[0], directory) for p in CLI_GOLDEN] + [_baseline_digest()]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_GOLDEN)
+def test_cli_output_bytes(argv, digest, tmp_path):
+    assert _cli_digest(argv, tmp_path) == digest
+
+
+def test_baseline_separation_json():
+    # The grids are dyadic grid trials, the walk lemma3 and eventc share;
+    # test_analysis.py::TestBaseline::test_batched_oracle_matches_scalar_reference
+    # pins them to a per-trial reference.
+    assert _baseline_digest() == BASELINE_GOLDEN
+
+
+_CHILD = """
+import json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+sys.path.insert(0, sys.argv[1])
+import test_golden
+enabled = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+print(json.dumps({"enabled": enabled, "digests": test_golden.digests(Path(sys.argv[2]))}))
+"""
+
+
+def test_digests_hold_without_simd_dispatch(tmp_path):
+    # numpy picks SIMD kernels at run time from the CPU. A child with every
+    # dispatch target this CPU enables switched off must write the same
+    # bytes; with no such target the child runs the same code as here.
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True,
     )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    child = json.loads(done.stdout)
+    assert child["enabled"] == []
+    assert child["digests"] == [p.values[1] for p in CLI_GOLDEN] + [BASELINE_GOLDEN]

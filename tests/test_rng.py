@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import random
-from itertools import count, islice
-
 import numpy as np
 import pytest
 
-import oob.rng
-from oob import MASK64, RandomSource, derive_seed, sources, splitmix64
-from oob.rng import _HASH_CHUNK, _HashedSeed
+from oob import MASK64, RandomSource, derive_seed, splitmix64
 
 
 class TestSplitmix64:
@@ -118,74 +113,3 @@ class TestNormalFeed:
         assert fed == [scalar.normal() for _ in range(draws)]
         assert max(abs(z) for z in fed) > 3.45
 
-
-class TestSources:
-    """``sources`` reproduces numpy's SeedSequence seeding of PCG64 exactly.
-
-    The batch hash is uint32 array arithmetic that wraps by design; pytest
-    turns warnings into errors, so an overflow warning would fail these.
-    """
-
-    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, MASK64]
-
-    @staticmethod
-    def assert_states_match(seeds):
-        built = list(sources(seeds))
-        assert [s.seed for s in built] == [int(seed) for seed in seeds]
-        for source, seed in zip(built, seeds):
-            assert source._gen.bit_generator.state == np.random.PCG64(seed).state, seed
-
-    def test_edge_seeds(self):
-        numpy_ints = [np.uint64(MASK64), np.int64(5), np.uint32(2**32 - 1)]
-        self.assert_states_match(self.EDGE_SEEDS + numpy_ints)
-
-    def test_random_64_bit_seeds(self):
-        rng = np.random.default_rng(20261018)
-        seeds = rng.integers(0, 2**64, size=5000, dtype=np.uint64, endpoint=False)
-        self.assert_states_match([int(s) for s in seeds])
-
-    def test_seeds_of_every_bit_length(self):
-        # Seeds below 2**32 have one entropy word in numpy, the rest two.
-        r = random.Random(11)
-        lengths = [bits for bits in range(1, 65) for _ in range(20)]
-        seeds = [r.getrandbits(bits) | 1 << (bits - 1) for bits in lengths]
-        self.assert_states_match(seeds)
-
-    @pytest.mark.parametrize("seed", EDGE_SEEDS + [derive_seed(3, 9)])
-    def test_draws_match_constructor(self, seed):
-        (batch,) = sources([seed])
-        single = RandomSource(seed)
-        assert np.array_equal(batch.normals(100), single.normals(100))
-        assert np.array_equal(batch.uniforms_open((4, 25)), single.uniforms_open((4, 25)))
-        assert batch.normal() == single.normal()
-        assert batch.uniform_open() == single.uniform_open()
-        assert repr(batch) == repr(single)
-
-    def test_crosses_chunk_boundary(self, hash_calls):
-        seeds = [derive_seed(9, j) for j in range(_HASH_CHUNK + 3)]
-        built = list(sources(seeds))
-        assert hash_calls == [_HASH_CHUNK, 3]
-        for j in (0, _HASH_CHUNK - 1, _HASH_CHUNK, _HASH_CHUNK + 2):
-            assert np.array_equal(built[j].normals(8), RandomSource(seeds[j]).normals(8))
-
-    def test_lazy_over_unbounded_input(self, hash_calls):
-        first = list(islice(sources(count()), 3))
-        assert [s.seed for s in first] == [0, 1, 2]
-        assert hash_calls == [_HASH_CHUNK]
-
-    def test_empty_input(self, hash_calls):
-        assert list(sources([])) == []
-        assert hash_calls == []
-
-    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7", True])
-    def test_bad_seed_refused(self, bad):
-        with pytest.raises(ValueError, match="seed"):
-            list(sources([0, bad]))
-
-    def test_hashed_seed_answers_only_the_pcg64_request(self):
-        (state,) = oob.rng._pcg64_states([5])
-        seed = _HashedSeed(state)
-        assert seed.generate_state(4, np.uint64) is state
-        for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
-            with pytest.raises(ValueError):
-                seed.generate_state(*request)
