@@ -26,7 +26,7 @@ from oob import (
     run_oob,
     wilson_ci,
 )
-from oob.analysis import MAX_GRID_DEPTH, _exceed_prob
+from oob.analysis import MAX_GRID_DEPTH, _exceed_prob, _rate_report
 
 
 class _GridReached(Exception):
@@ -68,6 +68,20 @@ class TestWilson:
             wilson_ci(5, 4)
         with pytest.raises(ValueError):
             wilson_ci(-1, 4)
+
+
+class TestRateReport:
+    @pytest.mark.parametrize(
+        "trials, bound, passes",
+        [(120, 0.5**5, True), (119, 0.5**5, False), (35, 0.1, True), (34, 0.1, False)],
+    )
+    def test_clean_runs_needed(self, trials, bound, passes):
+        # With no violation, the Wilson upper limit falls below epsilon**5
+        # at epsilon = 1/2 from 120 trials on, and below 0.1 from 35.
+        report = _rate_report(trials, 0, bound, {"suite": "x"})
+        assert report.passed is passes
+        assert report.wilson_upper_95 == wilson_ci(0, trials)[1]
+        assert report.metadata == {"suite": "x", "comparison": "wilson_upper_95 <= bound"}
 
 
 class TestConditionalMax:
@@ -417,6 +431,18 @@ class TestEventC:
         report = event_c_check(0.5, check_depth, trials, seed)
         assert report.violations == violations
         assert report.wilson_upper_95 == wilson_ci(violations, trials)[1]
+
+    @pytest.mark.parametrize("scale, passes", [(0.62, False), (1.0, True)])
+    def test_power_against_narrowed_widths(self, monkeypatch, scale, passes):
+        # At 0.62 of every width the same draws count 139 violations in
+        # 4,000 trials, a rate of 0.035 above epsilon**5 = 0.03125, which a
+        # rule that lets the rate reach bound + (upper - rate) would pass.
+        # The paper's widths count 1.
+        width = oob.analysis.eta
+        monkeypatch.setattr(oob.analysis, "eta", lambda e, d: scale * width(e, d))
+        report = event_c_check(0.5, 10, 4000, 1)
+        assert report.violations == (139 if scale < 1 else 1)
+        assert report.passed is passes
 
     def test_report_accounting(self):
         report = event_c_check(0.5, check_depth=6, trials=2000, seed=43)

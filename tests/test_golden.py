@@ -43,7 +43,7 @@ CLI_GOLDEN = [
     pytest.param(
         # 2 violations, so the verdict rests on drawn counts, not on zero.
         ["verify", "eventc", "--epsilon", "0.5", "--depth", "8", "--trials", "4000", "--seed", "1"],
-        "a69d35b31863e915a8c9f457ff23c64f650d4e868080fa5f9d463afd25a6c153",
+        "ae0a352f35c1f9366e35148858622ab8f66dfaec70c3d83bfbcd3f3b7ab9525b",
         id="verify-eventc",
     ),
     pytest.param(
