@@ -161,8 +161,6 @@ def pac_estimate(epsilon: float, trials: int, seed: int) -> VerificationReport:
     failure probability is at most epsilon; the report passes when that
     upper limit is at most epsilon.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     expected = 0.0
     for j in range(trials):
         result = run_oob(epsilon, derive_seed(seed, j))
@@ -307,8 +305,6 @@ def event_c_check(
         raise ValueError(
             f"grid depth check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     violations = 0
     for w, sups in _grid_blocks(*_grid_streams(seed), trials, check_depth):

@@ -2,11 +2,10 @@
 
 Flags are only parsed here; each value is checked by the library function
 that uses it, except that the seed's range is checked here, by the rng's
-own rule, so that a refusal names ``--seed`` or ``OOB_SEED``. Exit codes:
-0 for success (and for a verification that passed), 1 for a verification
-that ran fine but failed its bound, 2 for usage errors. Output is
-deterministic byte-for-byte given identical flags and seed; when
-``--seed`` is absent the ``OOB_SEED`` environment variable is used, then 0.
+own rule, so that a refusal names ``--seed``. Exit codes: 0 for success
+(and for a verification that passed), 1 for a verification that ran fine
+but failed its bound, 2 for usage errors. Output is deterministic
+byte-for-byte given identical flags; ``--seed`` defaults to 0.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .analysis import (
@@ -90,18 +88,13 @@ def _epsilon_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _resolve_seed(flag: str | None) -> int:
+def _seed(text: str) -> int:
     # Plain digits are decimal even with a leading zero ("010" is 10); base 0
-    # still reads the 0x, 0o and 0b forms. The range is the library's rule,
-    # checked here so that a refusal names the flag or variable it came from.
-    source, text = "--seed", flag
-    if flag is None:
-        source, text = "OOB_SEED", os.environ.get("OOB_SEED", "0")
+    # still reads the 0x, 0o and 0b forms. The range is checked in main.
     try:
-        value = int(text, 10 if text.strip().isdecimal() else 0)
+        return int(text, 10 if text.strip().isdecimal() else 0)
     except ValueError:
-        raise ValueError(f"{source}: not an integer: {text!r}") from None
-    return _check_u64(value, source)
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
 @functools.cache
@@ -188,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", default=None, help="default: $OOB_SEED, else 0")
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -196,14 +189,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = args.handler(args, _resolve_seed(args.seed))
+        text, code = args.handler(args, _check_u64(args.seed, "--seed"))
         if args.out is None:
             sys.stdout.write(text)
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
     except (ValueError, OSError) as exc:
-        # A value the library refuses, a seed that is not an integer and an
+        # A value the library refuses, a seed out of the 64-bit range and an
         # --out that cannot be written are usage errors.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

@@ -46,6 +46,17 @@ def grid_depths(monkeypatch):
     return depths
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """Names of the ``RandomSource`` draw methods called, in call order."""
+    names = []
+    for name in ("normal", "normals", "uniform_open", "uniforms_open"):
+        original = getattr(RandomSource, name)
+        monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
+                            names.append(_n) or _f(*a))
+    return names
+
+
 class TestWilson:
     def test_frozen_values(self):
         # Hand-checked: center 1/2, half-width z*sqrt(0.0346.../10)/1.384...
@@ -243,10 +254,16 @@ class TestPacEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
             pac_estimate(0.6, 1, 0)
-        with pytest.raises(ValueError, match="trials"):
-            pac_estimate(0.1, 0, 0)
         with pytest.raises(ValueError, match="too small"):
             pac_estimate(2e-8, 1, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_refuses_trials_below_one(self, trials, draws):
+        # The Wilson interval is the one place that refuses it; no run starts.
+        with pytest.raises(ValueError) as refused:
+            pac_estimate(0.1, trials, 0)
+        assert str(refused.value) == f"trials must be >= 1, got {trials}"
+        assert draws == []
 
 
 def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
@@ -412,6 +429,14 @@ class TestGridStreams:
         assert len(built) == 2 + 2 * 3
 
 
+def _event_c_union_sum(epsilon: float, depth: int = 200) -> float:
+    """Sum over h <= depth of 2**h * P(one depth-h interval beats its width)."""
+    return sum(
+        2**h * math.erfc(oob.analysis.eta(epsilon, math.ldexp(1.0, -h)) * math.sqrt(2 * 2**h))
+        for h in range(depth + 1)
+    )
+
+
 class TestEventC:
     def test_paired_monotone_in_epsilon(self):
         # Same seed means identical walks and sup draws; shrinking epsilon
@@ -459,8 +484,30 @@ class TestEventC:
             event_c_check(0.0, 4, 10, 0)
         with pytest.raises(ValueError):
             event_c_check(0.5, 0, 10, 0)
-        with pytest.raises(ValueError):
-            event_c_check(0.5, 4, 0, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_refuses_trials_below_one(self, trials, draws):
+        # The Wilson interval is the one place that refuses it; no block is drawn.
+        with pytest.raises(ValueError) as refused:
+            event_c_check(0.5, 4, trials, 0)
+        assert str(refused.value) == f"trials must be >= 1, got {trials}"
+        assert draws == []
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01, 0.001, 1e-6])
+    def test_union_bound_below_epsilon_fifth(self, epsilon):
+        # An interval of length d whose endpoints differ by N(0, d) exceeds
+        # max(ends) + w with probability erfc(w * sqrt(2 / d)). Summed over
+        # the 2**h intervals of every depth h <= 200 this bounds P(not C)
+        # with no draws, at epsilons far below criterion 3's reach. At 1/2
+        # the depth <= 10 part is 2.07e-4, criterion 3's Monte Carlo rate.
+        assert _event_c_union_sum(epsilon) < epsilon**5
+
+    @pytest.mark.parametrize("scale, epsilon", [(0.8, 0.1), (0.62, 0.5)])
+    def test_union_bound_power(self, monkeypatch, scale, epsilon):
+        # Narrowed widths break the bound (sum / epsilon**5 = 1.49 and 1.24).
+        width = oob.analysis.eta
+        monkeypatch.setattr(oob.analysis, "eta", lambda e, d: scale * width(e, d))
+        assert _event_c_union_sum(epsilon) > epsilon**5
 
     def test_depth_ceiling(self, grid_depths):
         with pytest.raises(_GridReached):

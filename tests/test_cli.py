@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -41,8 +43,7 @@ EPSILON_FLAGS = [
     ["verify", "pac", "--trials", "2", "--epsilon"],
     ["verify", "baseline", "--trials", "1", "--epsilons"],
 ]
-# Values the library refuses that the parser passes on: (argv, last item). A
-# last item NAME=VALUE is set in the environment instead.
+# Values the library refuses that the parser passes on: (argv, last item).
 REFUSED = [
     *((flags, epsilon) for flags in EPSILON_FLAGS for epsilon in ("0.5", "0.6", "-0.1", "nan")),
     (["sweep", "--trials", "2", "--epsilons"], ","),
@@ -54,10 +55,9 @@ REFUSED = [
     (["verify", "lemma3", "--trials", "1", "--depth"], "21"),
     (["verify", "lemma3", "--trials", "1", "--depth"], "2000"),
     *(([*command, "--seed"], seed) for command in COMMANDS for seed in ("-1", str(2**64))),
-    *((command, f"OOB_SEED={seed}") for command in COMMANDS for seed in ("-1", str(2**64))),
 ]
-# What a refusal must name, by the flag or variable that set the refused value.
-REFUSED_NAMES = {"--seed": "--seed", "OOB_SEED": "OOB_SEED", "--depth": "depth"}
+# What a refusal must name, by the flag that set the refused value.
+REFUSED_NAMES = {"--seed": "--seed", "--depth": "depth"}
 
 
 class TestRun:
@@ -123,14 +123,9 @@ class TestRun:
             original = getattr(RandomSource, name)
             monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
                                 draws.append(_n) or _f(*a))
-        variable, is_env, text = value.partition("=")
-        name = REFUSED_NAMES.get(variable if is_env else argv[-1], "")
-        if is_env:
-            monkeypatch.setenv(variable, text)
-        else:
-            argv = [*argv, value]
+        name = REFUSED_NAMES.get(argv[-1], "")
         target = tmp_path / "out.txt"
-        code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+        code, out, err = run_cli([*argv, value, "--out", str(target)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("oob: error: ")
@@ -385,43 +380,52 @@ class TestSuiteLookup:
 
 
 class TestSeedResolution:
-    def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch):
-        monkeypatch.setenv("OOB_SEED", "123")
-        _, from_env, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
-        _, from_flag, _ = run_cli(["run", "--epsilon", "0.2", "--seed", "123"], capsys)
-        assert from_env == from_flag
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OOB_SEED", "123")
-        _, out, _ = run_cli(["run", "--epsilon", "0.2", "--seed", "9"], capsys)
-        assert json.loads(out)["seed"] == 9
-
-    def test_default_seed_zero(self, capsys, monkeypatch):
+    def test_environment_never_seeds(self, capsys, monkeypatch):
+        # A command's bytes are a function of its argv: a variable that once
+        # supplied the seed is ignored.
         monkeypatch.delenv("OOB_SEED", raising=False)
+        unset = run_cli(["run", "--epsilon", "0.2"], capsys)
+        monkeypatch.setenv("OOB_SEED", "123")
+        assert run_cli(["run", "--epsilon", "0.2"], capsys) == unset
+        assert json.loads(unset[1])["seed"] == 0
+
+    def test_default_seed_zero(self, capsys):
         _, out, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
         assert json.loads(out)["seed"] == 0
 
     @pytest.mark.parametrize("text,value", [("010", 10), ("0x10", 16)])
-    def test_seed_forms(self, text, value, capsys, monkeypatch):
+    def test_seed_forms(self, text, value, capsys):
         # Plain digits are decimal even with a leading zero; 0x still reads hex.
-        monkeypatch.delenv("OOB_SEED", raising=False)
-        _, from_flag, _ = run_cli(["run", "--epsilon", "0.2", "--seed", text], capsys)
-        monkeypatch.setenv("OOB_SEED", text)
-        _, from_env, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
-        assert json.loads(from_flag)["seed"] == value
-        assert from_env == from_flag
+        _, from_text, _ = run_cli(["run", "--epsilon", "0.2", "--seed", text], capsys)
+        _, from_value, _ = run_cli(["run", "--epsilon", "0.2", "--seed", str(value)], capsys)
+        assert json.loads(from_text)["seed"] == value
+        assert from_text == from_value
 
     def test_bad_seed_flag_exits_2(self, capsys):
-        code, _, err = run_cli(["run", "--epsilon", "0.2", "--seed", "bad"], capsys)
-        assert code == 2
-        assert "not an integer: 'bad'" in err
-        assert is_one_error_line(err)
+        # Text that is not an integer gets argparse's usage message, like
+        # every other flag.
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--epsilon", "0.2", "--seed", "bad"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert err.startswith("usage: oob run")
+        assert "argument --seed: not an integer: 'bad'" in err
 
-    def test_invalid_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("OOB_SEED", "not-a-number")
-        code, _, err = run_cli(["run", "--epsilon", "0.2"], capsys)
-        assert code == 2
-        assert "OOB_SEED" in err
+
+def test_no_module_reads_the_environment():
+    # Output depends on argv alone: no source module may read os.environ or
+    # os.getenv, by attribute or by import.
+    source_dir = pathlib.Path(oob.cli.__file__).parent
+    hidden = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in hidden:
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in hidden]
+    assert len(list(source_dir.glob("*.py"))) >= 6
+    assert found == []
 
 
 def test_process_exit_status_2():
