@@ -174,8 +174,9 @@ def pac_estimate(epsilon: float, trials: int, seed: int) -> VerificationReport:
 
 
 # Rows per block of grid trials (:func:`_grid_blocks`) are chosen so that
-# one block holds about this many cells, which bounds the working set at
-# any trial count.
+# one block holds about this many cells. A grid-suite call allocates its
+# buffers once, a few blocks' worth, which bounds its working set at any
+# trial count.
 _BLOCK_CELLS = 1 << 15
 
 # Deepest grid the grid suites accept: a depth-20 block row holds 2**20
@@ -187,6 +188,16 @@ MAX_GRID_DEPTH = 20
 def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
     """The Gaussian and the uniform stream of a grid-suite call seeded ``seed``."""
     return RandomSource(derive_seed(seed, 0)), RandomSource(derive_seed(seed, 1))
+
+
+def _block_rows(trials: int, depth: int) -> int:
+    """Rows of the largest block of a ``trials``-trial grid call at ``depth``."""
+    return max(1, min(trials, _BLOCK_CELLS >> depth))
+
+
+def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first ``rows * cols`` items of a flat buffer, as a (rows, cols) view."""
+    return buffer[: rows * cols].reshape(rows, cols)
 
 
 def _grid_blocks(
@@ -201,23 +212,34 @@ def _grid_blocks(
     block draws one ``normals`` and one ``uniforms_open`` call, which equal
     the same draws taken row by row, so neither the rows per block nor
     ``trials`` changes a trial's draws. Once the blocks are exhausted,
-    each stream has advanced by exactly ``trials * n`` draws. ``w`` has shape ``(rows, n + 1)`` with
-    ``w[:, 0] = 0`` and the in-order sums of the Gaussians scaled by
-    ``sqrt(2**-depth)`` after the sum; ``sups`` has shape ``(rows, n)``,
-    cell k's sup drawn from the bridge pinned at ``w[:, k]`` and
-    ``w[:, k + 1]``. A block has ``max(1, _BLOCK_CELLS >> depth)`` rows,
-    the last one fewer.
+    each stream has advanced by exactly ``trials * n`` draws. ``w`` has
+    shape ``(rows, n + 1)`` with ``w[:, 0] = 0`` and the in-order sums of
+    the Gaussians scaled by ``sqrt(2**-depth)`` after the sum; ``sups`` has
+    shape ``(rows, n)``, cell k's sup drawn from the bridge pinned at
+    ``w[:, k]`` and ``w[:, k + 1]``. A block has ``_block_rows(trials,
+    depth)`` rows, the last one fewer.
+
+    The call allocates one workspace, sized for its largest block, and
+    draws, walks and inverts every block in it: each yielded pair is a
+    view into that workspace, valid until the next block is drawn, so a
+    consumer reduces a block before it advances.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
-    block = max(1, _BLOCK_CELLS >> depth)
+    block = _block_rows(trials, depth)
+    walk = np.zeros((block, n + 1))
+    z, u, sups = np.empty(block * n), np.empty(block * n), np.empty(block * n)
     for start in range(0, trials, block):
         rows = min(block, trials - start)
-        w = np.zeros((rows, n + 1))
-        np.cumsum(gaussians.normals(rows * n).reshape(rows, n), axis=1, out=w[:, 1:])
+        w, steps = walk[:rows], _rows(z, rows, n)
+        gaussians.normals(rows * n, out=z[: rows * n])
+        np.cumsum(steps, axis=1, out=w[:, 1:])
         w[:, 1:] *= math.sqrt(length)
-        u = uniforms.uniforms_open((rows, n))
-        yield w, bridge_max_from_uniforms(u, length, w[:, :-1], w[:, 1:])
+        cells = uniforms.uniforms_open((rows, n), out=_rows(u, rows, n))
+        # The walk has used up the Gaussians; their rows are the inversion's scratch.
+        yield w, bridge_max_from_uniforms(
+            cells, length, w[:, :-1], w[:, 1:], out=_rows(sups, rows, n), scratch=steps
+        )
 
 
 def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
@@ -248,9 +270,12 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     bound = 6.0 * eta * eta * 2.0**h
     if not math.isfinite(bound):
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
+    near = np.empty((_block_rows(trials, h), (1 << h) + 1), dtype=bool)
     counts = np.concatenate(
         [
-            np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
+            np.count_nonzero(
+                np.greater_equal(w, sups.max(axis=1)[:, None] - eta, out=near[: len(w)]), axis=1
+            )
             for w, sups in _grid_blocks(*_grid_streams(seed), trials, h)
         ]
     )
@@ -306,15 +331,30 @@ def event_c_check(
             f"grid depth check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}"
         )
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
+    # One workspace per call; a level of k cells a row uses the first rows * k
+    # items of each buffer. Halved levels alternate between two buffers,
+    # since numpy copies an operand that overlaps its output.
+    n = 1 << check_depth
+    block = _block_rows(trials, check_depth)
+    caps, above = np.empty(block * n), np.empty(block * n, dtype=bool)
+    halves = (np.empty(block * n // 2), np.empty(block * n // 4))
+    hits, flags = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
     violations = 0
     for w, sups in _grid_blocks(*_grid_streams(seed), trials, check_depth):
-        bad = np.zeros(len(w), dtype=bool)
+        rows = len(w)
+        bad = flags[:rows]
+        bad.fill(False)
         level = sups
         for h in range(check_depth, -1, -1):
-            ends = w[:, :: 1 << (check_depth - h)]
-            bad |= np.any(level > np.maximum(ends[:, :-1], ends[:, 1:]) + widths[h], axis=1)
+            k = 1 << h
+            ends = w[:, :: n >> h]
+            cap = np.maximum(ends[:, :-1], ends[:, 1:], out=_rows(caps, rows, k))
+            cap += widths[h]
+            over = np.greater(level, cap, out=_rows(above, rows, k))
+            bad |= np.any(over, axis=1, out=hits[:rows])
             if h:
-                level = np.maximum(level[:, 0::2], level[:, 1::2])
+                half = _rows(halves[(check_depth - h) & 1], rows, k // 2)
+                level = np.maximum(level[:, 0::2], level[:, 1::2], out=half)
         violations += int(np.count_nonzero(bad))
     return _rate_report(trials, violations, epsilon**5, {
         "suite": "eventc",

@@ -155,7 +155,12 @@ def bridge_max_sample(rng: RandomSource, a: float, b: float, wa: float, wb: floa
 
 
 def bridge_max_from_uniforms(
-    u: np.ndarray, lengths: np.ndarray, left: np.ndarray, right: np.ndarray
+    u: np.ndarray,
+    lengths: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Invert the bridge-maximum exceedance law, elementwise over cells.
 
@@ -170,8 +175,26 @@ def bridge_max_from_uniforms(
     clamped to max(left, right) so a last-bit rounding never puts it below
     the endpoints. This is the only implementation of the inverse; tests
     check it against :func:`bridge_max_exceed_prob`.
+
+    Every step of ``m + sqrt(d*d - 0.5*lengths*log(u))`` runs in place,
+    with the same operands in the same order, so the bits do not depend on
+    the buffers. The result goes to ``out`` when given (float64, of the
+    broadcast shape of all four inputs) and is returned; otherwise to a new
+    array, or a numpy scalar when every input is a scalar. ``scratch``,
+    when given, is a float64 buffer of the broadcast shape of ``left`` and
+    ``right`` that the call may overwrite; neither buffer may overlap an
+    input. The inputs are never written.
     """
-    m = 0.5 * (left + right)
-    d = 0.5 * (left - right)
-    x = m + np.sqrt(d * d - 0.5 * lengths * np.log(u))
-    return np.maximum(x, np.maximum(left, right))
+    x = out
+    if x is None:
+        x = np.empty(np.broadcast_shapes(*map(np.shape, (u, lengths, left, right))))
+    if scratch is None:
+        scratch = np.empty(np.broadcast_shapes(np.shape(left), np.shape(right)))
+    np.multiply(0.5 * lengths, np.log(u, out=x), out=x)
+    d = np.multiply(0.5, np.subtract(left, right, out=scratch), out=scratch)
+    np.subtract(np.multiply(d, d, out=scratch), x, out=x)
+    np.sqrt(x, out=x)
+    m = np.multiply(0.5, np.add(left, right, out=scratch), out=scratch)
+    np.add(m, x, out=x)
+    np.maximum(x, np.maximum(left, right, out=scratch), out=x)
+    return x if out is not None or x.ndim else x[()]

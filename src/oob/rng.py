@@ -83,6 +83,10 @@ class RandomSource:
     suites through their blocks: a block of rows draws the same values as
     those rows drawn one at a time.
 
+    The batch methods take an optional ``out=`` buffer, a C-contiguous
+    float64 array of the requested shape: they then draw into it and return
+    it, with the values and the stream position of the allocating call.
+
     The constructor seeds PCG64 through numpy's ``SeedSequence(seed)``.
     """
 
@@ -116,11 +120,14 @@ class RandomSource:
         """One uniform draw on (0, 1]."""
         return 1.0 - float(self._gen.random())
 
-    def normals(self, count: int) -> np.ndarray:
-        """``count`` standard Gaussian draws as a 1-d array."""
-        return self._gen.standard_normal(count)
+    def normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``count`` standard Gaussian draws as a 1-d array, in ``out`` if given."""
+        return self._gen.standard_normal(count, out=out)
 
-    def uniforms_open(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Uniform draws on (0, 1] with the given shape."""
-        return 1.0 - self._gen.random(shape)
+    def uniforms_open(
+        self, shape: int | tuple[int, ...], out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Uniform draws on (0, 1] with the given shape, in ``out`` if given."""
+        u = self._gen.random(shape, out=out)
+        return np.subtract(1.0, u, out=u)
 

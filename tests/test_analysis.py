@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import median
 
@@ -427,6 +428,41 @@ class TestGridStreams:
         baseline_separation((0.05, 0.01), (16, 64, 256), trials=5, oob_runs=3, seed=3)
         assert built[:2] == pair
         assert len(built) == 2 + 2 * 3
+
+
+class TestGridWorkspace:
+    # Each call runs every block in one workspace; neither the rows per
+    # block nor a short last block may show in a report.
+    SUITES = {
+        "lemma3": lambda: lemma3_mc(6, 0.1, 1200, 9),
+        "lemma3 deep": lambda: lemma3_mc(12, 0.02, 3, 2),
+        "eventc": lambda: event_c_check(0.5, 10, 37, 1),
+        "eventc violating": lambda: event_c_check(0.5, 8, 4000, 1),
+        "baseline": lambda: baseline_separation(
+            grid_sizes=(16, 256, 4096), trials=37, oob_runs=2, seed=4
+        ),
+    }
+
+    @pytest.mark.parametrize("cells", [1 << 11, 1 << 17])
+    def test_block_size_leaves_reports_unchanged(self, monkeypatch, cells):
+        default = {name: run().to_json_dict() for name, run in self.SUITES.items()}
+        assert default["eventc violating"]["violations"] == 2
+        monkeypatch.setattr(oob.analysis, "_BLOCK_CELLS", cells)
+        assert {name: run().to_json_dict() for name, run in self.SUITES.items()} == default
+
+    def test_event_c_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                event_c_check(0.5, 10, trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        event_c_check(0.5, 10, 1, 1)  # numpy's own first-call set-up is not the workspace
+        short, long = peak(200), peak(2000)
+        assert abs(long - short) <= 64 * 1024
+        assert long <= 12 * oob.analysis._BLOCK_CELLS * 8
 
 
 def _event_c_union_sum(epsilon: float, depth: int = 200) -> float:

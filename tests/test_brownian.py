@@ -213,7 +213,50 @@ class TestExceedProb:
         assert p_grid >= exact - 0.015  # grid bias is about 0.005 here
 
 
+def _closed_form(u, lengths, left, right):
+    """The inverse as one expression: the reference for its in-place steps."""
+    m = 0.5 * (left + right)
+    d = 0.5 * (left - right)
+    return np.maximum(m + np.sqrt(d * d - 0.5 * lengths * np.log(u)), np.maximum(left, right))
+
+
+def _inverse_inputs(kind):
+    """(u, lengths, left, right) of one input kind of the inverse."""
+    rng = RandomSource(83)
+    if kind == "scalars":
+        return 0.37, 0.25, 0.3, -0.1
+    if kind == "1-d":
+        return rng.uniforms_open(100), rng.uniforms_open(100), rng.normals(100), rng.normals(100)
+    if kind == "broadcast":
+        return rng.uniforms_open((3, 64)), np.full(64, 1.0 / 64), rng.normals(64), rng.normals(64)
+    w = np.zeros((32, 1025))
+    np.cumsum(rng.normals(32 * 1024).reshape(32, 1024), axis=1, out=w[:, 1:])
+    w[:, 1:] *= math.sqrt(1.0 / 1024)
+    return rng.uniforms_open((32, 1024)), 1.0 / 1024, w[:, :-1], w[:, 1:]
+
+
 class TestBridgeMaxSampler:
+    @pytest.mark.parametrize("kind", ["scalars", "1-d", "broadcast", "strided views"])
+    def test_in_place_steps_match_closed_form_bits(self, kind):
+        u, lengths, left, right = _inverse_inputs(kind)
+        before = [np.array(x, copy=True).tobytes() for x in (u, left, right)]
+        expected = _closed_form(u, lengths, left, right)
+        assert bridge_max_from_uniforms(u, lengths, left, right).tobytes() == expected.tobytes()
+        out = np.empty(np.shape(expected))
+        scratch = np.empty(np.broadcast_shapes(np.shape(left), np.shape(right)))
+        result = bridge_max_from_uniforms(u, lengths, left, right, out=out, scratch=scratch)
+        assert result is out
+        assert out.tobytes() == expected.tobytes()
+        assert bridge_max_from_uniforms(u, lengths, left, right, out=out).tobytes() == (
+            expected.tobytes()
+        )
+        assert [np.array(x, copy=True).tobytes() for x in (u, left, right)] == before
+
+    def test_scalar_inputs_give_a_scalar(self):
+        x = bridge_max_from_uniforms(0.37, 0.25, 0.3, -0.1)
+        assert isinstance(x, float) and np.ndim(x) == 0
+
+
     def test_u_one_returns_max_endpoint_exactly(self):
         assert bridge_max_from_uniforms(1.0, 0.5, 0.3, -0.1) == 0.3
         assert bridge_max_from_uniforms(1.0, 0.5, -0.1, 0.3) == 0.3

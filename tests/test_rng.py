@@ -86,6 +86,18 @@ class TestRandomSource:
         flat = RandomSource(11).uniforms_open(12)
         assert np.array_equal(grid.reshape(-1), flat)
 
+    def test_out_buffers_match_allocating_draws(self):
+        # A draw into a caller's buffer gives the bytes of the allocating
+        # call and leaves the stream where that call leaves it.
+        drawn, reference = RandomSource(21), RandomSource(21)
+        z, u = np.empty(100), np.empty((3, 7))
+        assert drawn.normals(100, out=z) is z
+        assert z.tobytes() == reference.normals(100).tobytes()
+        assert drawn.uniforms_open((3, 7), out=u) is u
+        assert u.tobytes() == reference.uniforms_open((3, 7)).tobytes()
+        assert drawn.normal() == reference.normal()
+        assert drawn.uniform_open() == reference.uniform_open()
+
     def test_seed_validation(self):
         for bad in (-1, 2**64, 1.5, "7", True):
             with pytest.raises(ValueError):
