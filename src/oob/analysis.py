@@ -35,7 +35,6 @@ from .optimizer import run_oob_on_path
 __all__ = [
     "MAX_GRID_DEPTH",
     "VerificationReport",
-    "Z95",
     "baseline_separation",
     "event_c_check",
     "lemma3_mc",
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 # Two-sided 95% standard normal quantile, Phi^-1(0.975).
-Z95 = 1.959963984540054
+_Z95 = 1.959963984540054
 
 # Stream tag of the baseline's optimizer runs, kept apart from trial seeds.
 _RUNNER_TAG = 0x72756E6E6572  # "runner"
@@ -67,10 +66,10 @@ def wilson_ci(successes: float, trials: int) -> tuple[float, float]:
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     p = successes / trials
-    z2 = Z95 * Z95
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = Z95 * math.sqrt((p * (1.0 - p) + z2 / (4.0 * trials)) / trials) / denom
+    half = _Z95 * math.sqrt((p * (1.0 - p) + z2 / (4.0 * trials)) / trials) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -174,9 +173,9 @@ def pac_estimate(epsilon: float, trials: int, seed: int) -> VerificationReport:
 
 
 # Rows per block of grid trials (:func:`_grid_blocks`) are chosen so that
-# one block holds about this many cells. A grid-suite call allocates its
-# buffers once, a few blocks' worth, which bounds its working set at any
-# trial count.
+# one block holds about this many cells. The walk of a grid-suite call
+# allocates its buffers once, a few blocks' worth, and a suite's temporaries
+# hold one block at most, which bounds the working set at any trial count.
 _BLOCK_CELLS = 1 << 15
 
 # Deepest grid the grid suites accept: a depth-20 block row holds 2**20
@@ -188,16 +187,6 @@ MAX_GRID_DEPTH = 20
 def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
     """The Gaussian and the uniform stream of a grid-suite call seeded ``seed``."""
     return RandomSource(derive_seed(seed, 0)), RandomSource(derive_seed(seed, 1))
-
-
-def _block_rows(trials: int, depth: int) -> int:
-    """Rows of the largest block of a ``trials``-trial grid call at ``depth``."""
-    return max(1, min(trials, _BLOCK_CELLS >> depth))
-
-
-def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The first ``rows * cols`` items of a flat buffer, as a (rows, cols) view."""
-    return buffer[: rows * cols].reshape(rows, cols)
 
 
 def _grid_blocks(
@@ -216,29 +205,28 @@ def _grid_blocks(
     shape ``(rows, n + 1)`` with ``w[:, 0] = 0`` and the in-order sums of
     the Gaussians scaled by ``sqrt(2**-depth)`` after the sum; ``sups`` has
     shape ``(rows, n)``, cell k's sup drawn from the bridge pinned at
-    ``w[:, k]`` and ``w[:, k + 1]``. A block has ``_block_rows(trials,
-    depth)`` rows, the last one fewer.
+    ``w[:, k]`` and ``w[:, k + 1]``. A block has ``_BLOCK_CELLS >> depth``
+    rows, at least one and at most ``trials``; the last may have fewer.
 
-    The call allocates one workspace, sized for its largest block, and
-    draws, walks and inverts every block in it: each yielded pair is a
-    view into that workspace, valid until the next block is drawn, so a
-    consumer reduces a block before it advances.
+    The walk owns the only block buffers of a call: it allocates them
+    once, for its largest block, and draws, walks and inverts every block
+    in them. Each yielded pair is a view into them, valid until the next
+    block is drawn, so a consumer reduces a block before it advances.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
-    block = _block_rows(trials, depth)
+    block = max(1, min(trials, _BLOCK_CELLS >> depth))
     walk = np.zeros((block, n + 1))
-    z, u, sups = np.empty(block * n), np.empty(block * n), np.empty(block * n)
+    z, u, sups = np.empty((block, n)), np.empty((block, n)), np.empty((block, n))
     for start in range(0, trials, block):
         rows = min(block, trials - start)
-        w, steps = walk[:rows], _rows(z, rows, n)
-        gaussians.normals(rows * n, out=z[: rows * n])
+        w, steps = walk[:rows], gaussians.normals((rows, n), out=z[:rows])
         np.cumsum(steps, axis=1, out=w[:, 1:])
         w[:, 1:] *= math.sqrt(length)
-        cells = uniforms.uniforms_open((rows, n), out=_rows(u, rows, n))
+        cells = uniforms.uniforms_open((rows, n), out=u[:rows])
         # The walk has used up the Gaussians; their rows are the inversion's scratch.
         yield w, bridge_max_from_uniforms(
-            cells, length, w[:, :-1], w[:, 1:], out=_rows(sups, rows, n), scratch=steps
+            cells, length, w[:, :-1], w[:, 1:], out=sups[:rows], scratch=steps
         )
 
 
@@ -251,8 +239,9 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     the cells are independent bridges, so the max of one exact draw per
     cell has exactly the conditional law of the global maximum: (grid, M)
     has its exact joint law and a finer walk would change nothing but the
-    cost. Passes when mean count + 3 standard errors <= the bound; this is
-    a one-sided bound check, so only overshoot fails it.
+    cost. Trials are counted a block at a time in temporaries of one
+    block; the walk owns the call's only buffers. Passes when mean count +
+    3 standard errors <= the bound, a one-sided check: only overshoot fails.
 
     In the report, ``violations`` is the summed count over trials, making
     ``empirical_rate`` the mean count per trial; ``wilson_upper_95`` is
@@ -270,12 +259,9 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     bound = 6.0 * eta * eta * 2.0**h
     if not math.isfinite(bound):
         raise ValueError(f"bound 6*eta**2*2**h overflows at eta={eta}, h={h}")
-    near = np.empty((_block_rows(trials, h), (1 << h) + 1), dtype=bool)
     counts = np.concatenate(
         [
-            np.count_nonzero(
-                np.greater_equal(w, sups.max(axis=1)[:, None] - eta, out=near[: len(w)]), axis=1
-            )
+            np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
             for w, sups in _grid_blocks(*_grid_streams(seed), trials, h)
         ]
     )
@@ -314,7 +300,8 @@ def event_c_check(
     length). The report passes when the Wilson 95% upper limit of the
     violation rate is at most the theoretical bound epsilon**5, which at
     epsilon = 1/2 takes at least 120 trials. Trials are checked a block at
-    a time, level by level from the finest; the per-trial verdicts are
+    a time, level by level from the finest, in temporaries of one block;
+    the walk owns the call's only buffers. The per-trial verdicts are
     those of checking each trial alone.
 
     Only depths h <= check_depth are examined, so the empirical rate is a
@@ -331,30 +318,16 @@ def event_c_check(
             f"grid depth check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}"
         )
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
-    # One workspace per call; a level of k cells a row uses the first rows * k
-    # items of each buffer. Halved levels alternate between two buffers,
-    # since numpy copies an operand that overlaps its output.
     n = 1 << check_depth
-    block = _block_rows(trials, check_depth)
-    caps, above = np.empty(block * n), np.empty(block * n, dtype=bool)
-    halves = (np.empty(block * n // 2), np.empty(block * n // 4))
-    hits, flags = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
     violations = 0
     for w, sups in _grid_blocks(*_grid_streams(seed), trials, check_depth):
-        rows = len(w)
-        bad = flags[:rows]
-        bad.fill(False)
+        bad = np.zeros(len(w), dtype=bool)
         level = sups
         for h in range(check_depth, -1, -1):
-            k = 1 << h
             ends = w[:, :: n >> h]
-            cap = np.maximum(ends[:, :-1], ends[:, 1:], out=_rows(caps, rows, k))
-            cap += widths[h]
-            over = np.greater(level, cap, out=_rows(above, rows, k))
-            bad |= np.any(over, axis=1, out=hits[:rows])
+            bad |= np.any(level > np.maximum(ends[:, :-1], ends[:, 1:]) + widths[h], axis=1)
             if h:
-                half = _rows(halves[(check_depth - h) & 1], rows, k // 2)
-                level = np.maximum(level[:, 0::2], level[:, 1::2], out=half)
+                level = np.maximum(level[:, 0::2], level[:, 1::2])
         violations += int(np.count_nonzero(bad))
     return _rate_report(trials, violations, epsilon**5, {
         "suite": "eventc",
@@ -386,12 +359,12 @@ def baseline_separation(
     unchanged. ``grid_sizes`` must be strictly increasing powers of two up
     to ``2**MAX_GRID_DEPTH``. For each target epsilon, in decreasing
     order, the smallest grid size whose median error is <= epsilon is
-    divided by the optimizer's mean evaluation count at that epsilon. The suite passes when every target is
-    reachable, the cost ratio strictly grows as epsilon shrinks, and the
-    ratio at the smallest epsilon is at least 3. One violation is counted
-    per epsilon level that breaks its part of that contract. Every
-    argument, an epsilon that :func:`run_oob` would refuse included, is
-    checked before any draw.
+    divided by the optimizer's mean evaluation count at that epsilon. The
+    suite passes when every target is reachable, the cost ratio strictly
+    grows as epsilon shrinks, and the ratio at the smallest epsilon is at
+    least 3. One violation is counted per epsilon level that breaks its
+    part of that contract. Every argument, an epsilon that :func:`run_oob`
+    would refuse included, is checked before any draw.
     """
     if len(epsilons) < 1:
         raise ValueError("epsilons must be non-empty")

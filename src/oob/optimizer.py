@@ -7,7 +7,7 @@ chosen so that, with high probability, every dyadic interval respects its
 bound simultaneously. The loop repeatedly selects the interval with the
 highest bound; if that interval's width term is already <= epsilon it
 stops, otherwise it evaluates W at the interval midpoint and replaces the
-interval with its two halves. The returned estimate is the best evaluated
+interval with its two children. The returned estimate is the best evaluated
 point, with t = 0 (where W is 0 by definition) included as a free candidate.
 
 Evaluation cost is self-limiting: no interval at depth >= h_max(epsilon)

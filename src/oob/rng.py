@@ -120,9 +120,11 @@ class RandomSource:
         """One uniform draw on (0, 1]."""
         return 1.0 - float(self._gen.random())
 
-    def normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``count`` standard Gaussian draws as a 1-d array, in ``out`` if given."""
-        return self._gen.standard_normal(count, out=out)
+    def normals(
+        self, shape: int | tuple[int, ...], out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Standard Gaussian draws with the given shape, in ``out`` if given."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniforms_open(
         self, shape: int | tuple[int, ...], out: np.ndarray | None = None

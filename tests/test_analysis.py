@@ -373,6 +373,32 @@ class TestLemma3:
         se = math.hypot(report.metadata["std_error"], fine.std(ddof=1) / math.sqrt(trials))
         assert abs(report.metadata["mean_count"] - fine.mean()) <= 4.0 * se
 
+    @pytest.mark.parametrize("scale, z_value", [(1.0, 0.78), (1.1, -5.72), (0.9, 7.52)])
+    def test_mean_matches_exact_expectation(self, monkeypatch, scale, z_value):
+        # Grid point t is within eta of M when neither the path before t nor
+        # the path after it climbs more than eta above W(t); these two are
+        # independent, and a Brownian path over a length d stays below eta
+        # with probability erf(eta / sqrt(2 d)). Gaussians scaled by 1.1 or
+        # 0.9 give the grid the wrong variance for its bridges, and the
+        # pre-registered |z| <= 4 rule kills both (at depth 6 neither).
+        h, eta_value, n = 10, 0.05, 1 << 10
+
+        def stays_below(d: float) -> float:
+            return math.erf(eta_value / math.sqrt(2.0 * d)) if d else 1.0
+
+        expected = sum(stays_below(k / n) * stays_below(1.0 - k / n) for k in range(n + 1))
+        assert expected == pytest.approx(4.9554, abs=1e-4)
+        normals = RandomSource.normals
+
+        def scaled(self, shape, out=None):
+            return np.multiply(normals(self, shape, out=out), scale, out=out)
+
+        monkeypatch.setattr(RandomSource, "normals", scaled)
+        report = lemma3_mc(h, eta_value, 2000, 1)
+        z = (report.metadata["mean_count"] - expected) / report.metadata["std_error"]
+        assert z == pytest.approx(z_value, abs=0.01)
+        assert (abs(z) <= 4.0) is (scale == 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lemma3_mc(-1, 0.1, trials=1, seed=0)

@@ -85,6 +85,9 @@ class TestRandomSource:
         grid = RandomSource(11).uniforms_open((3, 4))
         flat = RandomSource(11).uniforms_open(12)
         assert np.array_equal(grid.reshape(-1), flat)
+        grid = RandomSource(11).normals((3, 4))
+        flat = RandomSource(11).normals(12)
+        assert np.array_equal(grid.reshape(-1), flat)
 
     def test_out_buffers_match_allocating_draws(self):
         # A draw into a caller's buffer gives the bytes of the allocating
@@ -93,6 +96,9 @@ class TestRandomSource:
         z, u = np.empty(100), np.empty((3, 7))
         assert drawn.normals(100, out=z) is z
         assert z.tobytes() == reference.normals(100).tobytes()
+        z = np.empty((4, 5))
+        assert drawn.normals((4, 5), out=z) is z
+        assert z.tobytes() == reference.normals((4, 5)).tobytes()
         assert drawn.uniforms_open((3, 7), out=u) is u
         assert u.tobytes() == reference.uniforms_open((3, 7)).tobytes()
         assert drawn.normal() == reference.normal()
