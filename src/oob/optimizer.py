@@ -65,11 +65,18 @@ def compute_h_max(epsilon: float) -> int:
     1.217e-7, the smallest epsilon that some depth h <= ``MAX_DEPTH``
     reaches. Any other epsilon raises ``ValueError``.
     """
+    return len(_widths(epsilon)) - 1
+
+
+def _widths(epsilon: float) -> list[float]:
+    """eta(epsilon, 2**-h) for h = 0..h_max, the scan behind :func:`compute_h_max`."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+    widths = []
     for h in range(MAX_DEPTH + 1):
-        if eta(epsilon, 2.0 ** -h) <= epsilon:
-            return h
+        widths.append(eta(epsilon, 2.0 ** -h))
+        if widths[h] <= epsilon:
+            return widths
     raise ValueError(
         f"epsilon {epsilon} is too small: no depth h <= {MAX_DEPTH} has "
         "eta(epsilon, 2**-h) <= epsilon (the smallest is about 1.217e-7)"
@@ -142,7 +149,7 @@ def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
     variance exactly 2**-(h+2), so this repeats the arithmetic of
     :meth:`BrownianPath.evaluate` bit for bit.
 
-    The active intervals live in a heap of plain tuples (-B, h, k, wa, wb):
+    The selectable intervals live in a heap of plain tuples (-B, h, k, wa, wb):
     the interval [k/2**h, (k+1)/2**h] with endpoint values wa, wb and
     bound B = max(wa, wb) + widths[h], where widths[h] = eta(epsilon, 2**-h)
     is computed once per run for every depth up to h_max. heapq pops the
@@ -152,9 +159,18 @@ def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
     selected interval has widths[h] <= epsilon; other intervals are not
     consulted for stopping, and no interval deeper than h_max is ever
     selected.
+
+    The heap holds only intervals with B >= m_hat + widths[h_max], the
+    floor under the running best value. Proof that the rest can never be
+    selected: the interval with endpoint t_hat has depth <= h_max, so its
+    bound is >= m_hat + widths[h_max] (widths fall with depth), and m_hat
+    never falls. So each split pushes 0, 1 or 2 of its children, the
+    selections are those of the full partition, and the run stops on a
+    bound of exactly m_hat + widths[h_max].
     """
-    h_max = compute_h_max(epsilon)
-    widths = [eta(epsilon, 2.0 ** -h) for h in range(h_max + 1)]
+    widths = _widths(epsilon)
+    h_max = len(widths) - 1
+    floor = widths[h_max]
     sd = [math.sqrt(2.0 ** -(j + 1)) for j in range(h_max + 1)]
     cap = 1 << (h_max + 1)
 
@@ -162,7 +178,8 @@ def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
     w1 = 0.0 + draw()  # past the last point s = 0: mean W(0), variance 1 - 0
     trace = [(1.0, w1)]
     t_hat, m_hat = (1.0, w1) if w1 > w0 else (0.0, w0)
-    heap = [(-((w1 if w1 > w0 else w0) + widths[0]), 0, 0, w0, w1)]
+    cut = -(m_hat + floor)  # heap keys above it are never selected
+    heap = [(-(m_hat + widths[0]), 0, 0, w0, w1)]
 
     for _ in range(cap):
         _, h, k, wa, wb = heap[0]
@@ -175,9 +192,18 @@ def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
         trace.append((t, wm))
         if wm > m_hat:
             t_hat, m_hat = t, wm
+            cut = -(wm + floor)
         width = widths[h]
-        heapq.heapreplace(heap, (-((wm if wm > wa else wa) + width), h, k, wa, wm))
-        heapq.heappush(heap, (-((wb if wb > wm else wm) + width), h, k + 1, wm, wb))
+        kl = -((wm if wm > wa else wa) + width)
+        kr = -((wb if wb > wm else wm) + width)
+        if kl <= cut:
+            heapq.heapreplace(heap, (kl, h, k, wa, wm))
+            if kr <= cut:
+                heapq.heappush(heap, (kr, h, k + 1, wm, wb))
+        elif kr <= cut:
+            heapq.heapreplace(heap, (kr, h, k + 1, wm, wb))
+        else:
+            heapq.heappop(heap)
     else:
         raise RuntimeError(
             f"evaluation count exceeded the termination cap {cap}; "

@@ -201,6 +201,8 @@ class TestRunLoop:
         best = min((-bound, h, k) for (h, k), (bound, _) in final.items())
         selected_bound, selected_width = final[best[1], best[2]]
         assert selected_width <= epsilon
+        # The run stops on the floor the loop prunes its heap with.
+        assert selected_bound == result.m_hat + eta(epsilon, 2.0**-result.h_max)
         # Stopping consults the selected interval only: wide intervals may
         # survive, they just cannot carry the highest bound.
         survivors = [bound for bound, width in final.values() if width > epsilon]
@@ -215,6 +217,7 @@ class TestRunLoop:
         # Each right child the loop pushes is corrupted; the replay, which
         # never reads the heap, must notice on every replay case.
         monkeypatch.setattr(optimizer, "heapq", SimpleNamespace(
+            heappop=heapq.heappop,
             heapreplace=heapq.heapreplace,
             heappush=lambda heap, entry: heapq.heappush(heap, corrupt(*entry)),
         ))
