@@ -18,6 +18,7 @@ their trials through :func:`_grid_blocks` from two streams per call, see
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import median
@@ -189,6 +190,24 @@ def _grid_streams(seed: int) -> tuple[RandomSource, RandomSource]:
     return RandomSource(derive_seed(seed, 0)), RandomSource(derive_seed(seed, 1))
 
 
+# (pid, executor) of the draw worker; see :func:`_draw_worker`.
+_worker = None
+
+
+def _draw_worker():
+    """The one thread of this process that draws grid blocks ahead (see :func:`_grid_blocks`).
+
+    Made on first use and kept for every later call; a forked child, whose
+    copy of the parent's thread does not run, makes its own.
+    """
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # imported here: oob run never needs it
+
+        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="oob-draw"))
+    return _worker[1]
+
+
 def _grid_blocks(
     gaussians: RandomSource, uniforms: RandomSource, trials: int, depth: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -198,36 +217,69 @@ def _grid_blocks(
     trial order. Trial j is row j: with n = 2**depth, it takes Gaussians
     ``[j*n, (j+1)*n)`` of ``gaussians`` and the uniforms at the same
     indices of ``uniforms``, counted from where each stream stands. A
-    block draws one ``normals`` and one ``uniforms_open`` call, which equal
-    the same draws taken row by row, so neither the rows per block nor
-    ``trials`` changes a trial's draws. Once the blocks are exhausted,
-    each stream has advanced by exactly ``trials * n`` draws. ``w`` has
-    shape ``(rows, n + 1)`` with ``w[:, 0] = 0`` and the in-order sums of
-    the Gaussians scaled by ``sqrt(2**-depth)`` after the sum; ``sups`` has
-    shape ``(rows, n)``, cell k's sup drawn from the bridge pinned at
-    ``w[:, k]`` and ``w[:, k + 1]``. A block has ``_BLOCK_CELLS >> depth``
-    rows, at least one and at most ``trials``; the last may have fewer.
+    block draws its Gaussians in one call and its uniforms in one
+    ``uniforms_open`` call, which equal the same draws taken row by row,
+    so neither the rows per block nor ``trials`` changes a trial's draws.
+    Once the blocks are exhausted, each stream has advanced by exactly
+    ``trials * n`` draws. ``w`` has shape ``(rows, n + 1)`` with
+    ``w[:, 0] = 0`` and the in-order sums of the Gaussians scaled by
+    ``sqrt(2**-depth)`` after the sum; ``sups`` has shape ``(rows, n)``,
+    cell k's sup drawn from the bridge pinned at ``w[:, k]`` and
+    ``w[:, k + 1]``. A block has ``_BLOCK_CELLS >> depth`` rows, at least
+    one and at most ``trials``; the last may have fewer.
+
+    The caller's thread draws the first block's Gaussians (``normals``) and
+    every block's uniforms. From the second block on, the Gaussians are
+    drawn by the process's one draw worker (:func:`_draw_worker`), a block
+    ahead: block i + 1's are drawn while the caller walks, inverts and
+    yields block i, and the caller waits for them before it walks block
+    i + 1. So each stream is still drawn in order by one thread at a time,
+    and every value is that of a single-threaded walk; an error in the
+    worker's draw is raised in the caller. A call with one block never
+    uses the worker. The draws overlap only while the OS runs the worker
+    on another core than the caller; on the same core the blocks take
+    turns, as in a single-threaded walk. The worker calls the generator's ``standard_normal``
+    directly, the call ``normals`` makes, so no patched ``normals``
+    (``bench/tracer.py`` nests its spans on one thread) runs off the
+    caller's thread.
 
     The walk owns the only block buffers of a call: it allocates them
-    once, for its largest block, and draws, walks and inverts every block
-    in them. Each yielded pair is a view into them, valid until the next
-    block is drawn, so a consumer reduces a block before it advances.
+    once, for its largest block, with two Gaussian buffers when there is
+    more than one block, and draws, walks and inverts every block in them.
+    Each yielded pair is a view into them, valid until the consumer asks
+    for the next block, so a consumer reduces a block before it advances.
+    When the generator is closed or dropped early, it first waits for the
+    draw in flight: the Gaussian stream then stands one block past the
+    last block yielded, and no thread writes to it any more.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, min(trials, _BLOCK_CELLS >> depth))
+    sizes = [min(block, trials - start) for start in range(0, trials, block)]
     walk = np.zeros((block, n + 1))
-    z, u, sups = np.empty((block, n)), np.empty((block, n)), np.empty((block, n))
-    for start in range(0, trials, block):
-        rows = min(block, trials - start)
-        w, steps = walk[:rows], gaussians.normals((rows, n), out=z[:rows])
-        np.cumsum(steps, axis=1, out=w[:, 1:])
-        w[:, 1:] *= math.sqrt(length)
-        cells = uniforms.uniforms_open((rows, n), out=u[:rows])
-        # The walk has used up the Gaussians; their rows are the inversion's scratch.
-        yield w, bridge_max_from_uniforms(
-            cells, length, w[:, :-1], w[:, 1:], out=sups[:rows], scratch=steps
-        )
+    u, sups = np.empty((block, n)), np.empty((block, n))
+    zs = [np.empty((block, n)) for _ in sizes[:2]]
+    ahead = None
+    try:
+        for i, rows in enumerate(sizes):
+            w = walk[:rows]
+            steps = gaussians.normals((rows, n), out=zs[0][:rows]) if i == 0 else ahead.result()
+            ahead = None
+            if i + 1 < len(sizes):
+                later = zs[(i + 1) % 2][: sizes[i + 1]]
+                ahead = _draw_worker().submit(
+                    gaussians._gen.standard_normal, later.shape, out=later
+                )
+            np.cumsum(steps, axis=1, out=w[:, 1:])
+            w[:, 1:] *= math.sqrt(length)
+            cells = uniforms.uniforms_open((rows, n), out=u[:rows])
+            # The walk has used up the Gaussians; their rows are the inversion's scratch.
+            yield w, bridge_max_from_uniforms(
+                cells, length, w[:, :-1], w[:, 1:], out=sups[:rows], scratch=steps
+            )
+    finally:
+        if ahead is not None:
+            ahead.exception()  # waits; the draw's error, if any, no longer matters
 
 
 def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:

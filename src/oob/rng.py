@@ -87,6 +87,12 @@ class RandomSource:
     float64 array of the requested shape: they then draw into it and return
     it, with the values and the stream position of the allocating call.
 
+    One thread draws from a source at a time: two threads drawing at once
+    would take the variates in an order set by the scheduler. The grid
+    walk draws a Gaussian block on a worker thread only while its caller
+    draws from other sources, and waits for that block before it draws
+    again (see ``analysis._grid_blocks``).
+
     The constructor seeds PCG64 through numpy's ``SeedSequence(seed)``.
     """
 

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from statistics import median
@@ -388,12 +394,21 @@ class TestLemma3:
 
         expected = sum(stays_below(k / n) * stays_below(1.0 - k / n) for k in range(n + 1))
         assert expected == pytest.approx(4.9554, abs=1e-4)
-        normals = RandomSource.normals
+        streams = oob.analysis._grid_streams
 
-        def scaled(self, shape, out=None):
-            return np.multiply(normals(self, shape, out=out), scale, out=out)
+        class Scaled:  # every Gaussian of the call, on whichever thread it is drawn
+            def __init__(self, gen):
+                self.gen = gen
 
-        monkeypatch.setattr(RandomSource, "normals", scaled)
+            def standard_normal(self, shape, out=None):
+                return np.multiply(self.gen.standard_normal(shape, out=out), scale, out=out)
+
+        def scaled_streams(seed):
+            gaussians, uniforms = streams(seed)
+            gaussians._gen = Scaled(gaussians._gen)
+            return gaussians, uniforms
+
+        monkeypatch.setattr(oob.analysis, "_grid_streams", scaled_streams)
         report = lemma3_mc(h, eta_value, 2000, 1)
         z = (report.metadata["mean_count"] - expected) / report.metadata["std_error"]
         assert z == pytest.approx(z_value, abs=0.01)
@@ -489,6 +504,159 @@ class TestGridWorkspace:
         short, long = peak(200), peak(2000)
         assert abs(long - short) <= 64 * 1024
         assert long <= 12 * oob.analysis._BLOCK_CELLS * 8
+
+
+def _report_from_fork(conn) -> None:
+    report = event_c_check(0.5, 10, 100, 4).to_json_dict()
+    conn.send((report, oob.analysis._worker[0] == os.getpid()))
+    conn.close()
+
+
+def _hooked_streams(seed: int, before) -> tuple[RandomSource, RandomSource]:
+    """``_grid_streams(seed)`` whose Gaussian draws call ``before()`` first,
+    on whichever thread draws them."""
+    gaussians, uniforms = _grid_streams(seed)
+    gen = gaussians._gen
+
+    class Hooked:
+        def standard_normal(self, shape, out=None):
+            before()
+            return gen.standard_normal(shape, out=out)
+
+    gaussians._gen = Hooked()
+    return gaussians, uniforms
+
+
+def _off_main_thread() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestDrawAhead:
+    # From the second block on, one worker thread draws a block's Gaussians
+    # while the caller walks, inverts and reduces the block before it.
+    @pytest.mark.parametrize("trials, depth", [(100, 10), (9, 13), (7, 14)])
+    def test_blocks_match_per_trial_reference(self, trials, depth):
+        block = oob.analysis._BLOCK_CELLS >> depth
+        assert trials > 2 * block and trials % block  # three blocks or more, the last short
+        reference = _trial_grid(*_grid_streams(5), trials, depth)
+        rows = 0
+        for w, sups in oob.analysis._grid_blocks(*_grid_streams(5), trials, depth):
+            for w_row, sups_row in zip(w, sups):
+                w_ref, sups_ref = next(reference)
+                assert w_row.tobytes() == w_ref.tobytes()
+                assert sups_row.tobytes() == sups_ref.tobytes()
+            rows += len(w)
+        assert rows == trials
+
+    def test_close_waits_for_the_block_ahead(self):
+        # Closed after its first block, the walk has drawn the second
+        # block's Gaussians too, a slow draw here, and nothing draws from
+        # the stream once close returns.
+        gaussians, uniforms = _hooked_streams(8, lambda: _off_main_thread() and time.sleep(0.2))
+        blocks = oob.analysis._grid_blocks(gaussians, uniforms, 100, 10)
+        next(blocks)
+        blocks.close()
+        fresh, fresh_uniforms = _grid_streams(8)
+        fresh.normals((2 * 32, 1 << 10))
+        fresh_uniforms.uniforms_open((32, 1 << 10))
+        assert gaussians.normals(64).tobytes() == fresh.normals(64).tobytes()
+        assert uniforms.uniforms_open(64).tobytes() == fresh_uniforms.uniforms_open(64).tobytes()
+
+    def test_one_worker_draws_every_later_block(self):
+        threads = []
+
+        def blocks(trials):
+            streams = _hooked_streams(2, lambda: threads.append(threading.get_ident()))
+            return [len(w) for w, _ in oob.analysis._grid_blocks(*streams, trials, 10)]
+
+        assert blocks(32) == [32]
+        assert threads == [threading.get_ident()]
+        assert blocks(70) == [32, 32, 6]
+        assert blocks(40) == [32, 8]
+        caller = threading.get_ident()
+        assert threads[1] == threads[4] == caller
+        assert threads[2] == threads[3] == threads[5] != caller
+
+    def test_source_methods_run_on_the_calling_thread(self, monkeypatch):
+        # The worker calls the generator itself: a wrapper around a
+        # RandomSource method, such as a tracer span that nests on one
+        # thread, never runs on the worker.
+        threads = set()
+        for name in ("normals", "uniforms_open"):
+            def recorded(self, *args, _f=getattr(RandomSource, name), **kwargs):
+                threads.add(threading.get_ident())
+                return _f(self, *args, **kwargs)
+
+            monkeypatch.setattr(RandomSource, name, recorded)
+        event_c_check(0.5, 10, 100, 4)
+        assert threads == {threading.get_ident()}
+
+    def test_worker_error_reaches_the_caller(self):
+        def fail_off_main_thread():
+            if _off_main_thread():
+                raise FloatingPointError("worker draw failed")
+
+        blocks = oob.analysis._grid_blocks(*_hooked_streams(2, fail_off_main_thread), 64, 10)
+        next(blocks)
+        with pytest.raises(FloatingPointError, match="worker draw failed"):
+            next(blocks)
+
+    def test_callers_on_many_threads_share_the_worker(self):
+        # Each call's streams are its own, so calls on six threads, all
+        # drawing ahead through the one worker, give their lone reports.
+        seeds = range(6)
+        alone = [event_c_check(0.5, 8, 400, seed).to_json_dict() for seed in seeds]
+        reports = [None] * len(alone)
+
+        def run(i):
+            for _ in range(5):
+                reports[i] = event_c_check(0.5, 8, 400, seeds[i]).to_json_dict()
+                if reports[i] != alone[i]:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(alone))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert reports == alone
+
+    # Python 3.12 and later warn when a process with threads forks.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_gets_its_own_worker(self):
+        report = event_c_check(0.5, 10, 100, 4).to_json_dict()
+        assert oob.analysis._worker[0] == os.getpid()
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_report_from_fork, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child sent no report"
+            assert receiver.recv() == (report, True)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    def test_cli_import_starts_no_worker(self):
+        # A command that walks no grid of two blocks pays nothing for the worker.
+        code = (
+            "import sys, threading, oob.cli\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "1 False\n"
 
 
 def _event_c_union_sum(epsilon: float, depth: int = 200) -> float:

@@ -214,12 +214,16 @@ class TestRunLoop:
         lambda b, h, k, wa, wb: (b, h, k - 1, wa, wb),  # index one to the left
     ], ids=["bound", "index"])
     def test_replay_catches_corrupt_heap(self, corrupt, monkeypatch):
-        # Each right child the loop pushes is corrupted; the replay, which
-        # never reads the heap, must notice on every replay case.
+        # Each right child (odd k) the loop keeps is corrupted, whether
+        # heapreplace or heappush keeps it; the replay, which never reads
+        # the heap, must notice on every replay case.
+        def right_corrupted(keep):
+            return lambda heap, entry: keep(heap, corrupt(*entry) if entry[2] % 2 else entry)
+
         monkeypatch.setattr(optimizer, "heapq", SimpleNamespace(
             heappop=heapq.heappop,
-            heapreplace=heapq.heapreplace,
-            heappush=lambda heap, entry: heapq.heappush(heap, corrupt(*entry)),
+            heapreplace=right_corrupted(heapq.heapreplace),
+            heappush=right_corrupted(heapq.heappush),
         ))
         for epsilon, seed in REPLAY_CASES:
             with pytest.raises(AssertionError):
