@@ -229,35 +229,35 @@ def _grid_blocks(
     one and at most ``trials``; the last may have fewer.
 
     The caller's thread draws the first block's Gaussians (``normals``) and
-    every block's uniforms. From the second block on, the Gaussians are
-    drawn by the process's one draw worker (:func:`_draw_worker`), a block
-    ahead: block i + 1's are drawn while the caller walks, inverts and
-    yields block i, and the caller waits for them before it walks block
-    i + 1. So each stream is still drawn in order by one thread at a time,
-    and every value is that of a single-threaded walk; an error in the
-    worker's draw is raised in the caller. A call with one block never
-    uses the worker. The draws overlap only while the OS runs the worker
-    on another core than the caller; on the same core the blocks take
-    turns, as in a single-threaded walk. The worker calls the generator's ``standard_normal``
-    directly, the call ``normals`` makes, so no patched ``normals``
-    (``bench/tracer.py`` nests its spans on one thread) runs off the
-    caller's thread.
+    every block's uniforms. Later blocks' Gaussians are drawn a block ahead
+    by the process's one draw worker (:func:`_draw_worker`) while the
+    caller walks, inverts and yields the block before, and the caller waits
+    for them before it walks their block. So each stream is drawn in order
+    by one thread at a time, every value is that of a single-threaded walk,
+    and an error in the worker's draw is raised in the caller. A one-block
+    call never uses the worker. The draws overlap only while the OS runs
+    the worker on another core. The worker calls the generator's
+    ``standard_normal`` directly, the call ``normals`` makes, so no patched
+    ``normals`` (``bench/tracer.py`` nests its spans on one thread) runs
+    off the caller's thread.
 
-    The walk owns the only block buffers of a call: it allocates them
-    once, for its largest block, with two Gaussian buffers when there is
-    more than one block, and draws, walks and inverts every block in them.
-    Each yielded pair is a view into them, valid until the consumer asks
-    for the next block, so a consumer reduces a block before it advances.
-    When the generator is closed or dropped early, it first waits for the
-    draw in flight: the Gaussian stream then stands one block past the
-    last block yielded, and no thread writes to it any more.
+    The walk owns a call's only block buffers, one per role, allocated once
+    for its largest block: the walk; the uniforms, each inverted in place
+    into its cell's sup, so ``sups`` is a view of the uniform buffer; and
+    the Gaussians of each block in flight (two buffers for more than one
+    block), then the inversion's scratch. Each yielded pair is a view into
+    them, valid until the consumer asks for the next block, so a consumer
+    reduces a block before it advances. Closed or dropped early, the
+    generator first waits for the draw in flight: the Gaussian stream then
+    stands one block past the last block yielded, and no thread writes to
+    it any more.
     """
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, min(trials, _BLOCK_CELLS >> depth))
     sizes = [min(block, trials - start) for start in range(0, trials, block)]
     walk = np.zeros((block, n + 1))
-    u, sups = np.empty((block, n)), np.empty((block, n))
+    u = np.empty((block, n))
     zs = [np.empty((block, n)) for _ in sizes[:2]]
     ahead = None
     try:
@@ -267,15 +267,13 @@ def _grid_blocks(
             ahead = None
             if i + 1 < len(sizes):
                 later = zs[(i + 1) % 2][: sizes[i + 1]]
-                ahead = _draw_worker().submit(
-                    gaussians._gen.standard_normal, later.shape, out=later
-                )
+                ahead = _draw_worker().submit(gaussians._gen.standard_normal, later.shape, out=later)
             np.cumsum(steps, axis=1, out=w[:, 1:])
             w[:, 1:] *= math.sqrt(length)
             cells = uniforms.uniforms_open((rows, n), out=u[:rows])
-            # The walk has used up the Gaussians; their rows are the inversion's scratch.
+            # The walk has used up the Gaussians, now the scratch; each uniform becomes its sup.
             yield w, bridge_max_from_uniforms(
-                cells, length, w[:, :-1], w[:, 1:], out=sups[:rows], scratch=steps
+                cells, length, w[:, :-1], w[:, 1:], out=cells, scratch=steps
             )
     finally:
         if ahead is not None:
@@ -286,14 +284,16 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     """Check that E[near-optimal count at depth h] <= 6 * eta**2 * 2**h.
 
     Per trial: walk W on the depth-h grid, draw one exact sup per cell
-    (see :func:`_grid_blocks`), take the maximum reference M as the max of
-    those draws, and count grid points within eta of M. Given the grid,
-    the cells are independent bridges, so the max of one exact draw per
-    cell has exactly the conditional law of the global maximum: (grid, M)
-    has its exact joint law and a finer walk would change nothing but the
-    cost. Trials are counted a block at a time in temporaries of one
-    block; the walk owns the call's only buffers. Passes when mean count +
-    3 standard errors <= the bound, a one-sided check: only overshoot fails.
+    (see :func:`_grid_blocks`), take M as the max of those draws, and count
+    grid points within eta of M. Given the grid, the cells are independent
+    bridges, so the max of one exact draw per cell has the conditional law
+    of the global maximum: (grid, M) has its exact joint law and a finer
+    walk would change nothing but the cost. Trials are counted a block at
+    a time in temporaries of one block. Passes when mean count + 3
+    standard errors <= the bound, a one-sided check: only overshoot fails.
+    The bound holds for eta >= 2**-(h+1) and is false below about
+    0.4 * 2**-h: at h = 0, eta = 0.1 the two endpoints alone give an exact
+    mean of 2*erf(0.1/sqrt(2)) = 0.159, against a bound of 0.06.
 
     In the report, ``violations`` is the summed count over trials, making
     ``empirical_rate`` the mean count per trial; ``wilson_upper_95`` is
@@ -352,9 +352,8 @@ def event_c_check(
     length). The report passes when the Wilson 95% upper limit of the
     violation rate is at most the theoretical bound epsilon**5, which at
     epsilon = 1/2 takes at least 120 trials. Trials are checked a block at
-    a time, level by level from the finest, in temporaries of one block;
-    the walk owns the call's only buffers. The per-trial verdicts are
-    those of checking each trial alone.
+    a time, level by level from the finest, in temporaries of one block,
+    with the verdicts of checking each trial alone.
 
     Only depths h <= check_depth are examined, so the empirical rate is a
     lower bound for the untruncated event; deeper intervals contribute a

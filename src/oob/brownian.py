@@ -180,10 +180,11 @@ def bridge_max_from_uniforms(
     with the same operands in the same order, so the bits do not depend on
     the buffers. The result goes to ``out`` when given (float64, of the
     broadcast shape of all four inputs) and is returned; otherwise to a new
-    array, or a numpy scalar when every input is a scalar. ``scratch``,
-    when given, is a float64 buffer of the broadcast shape of ``left`` and
-    ``right`` that the call may overwrite; neither buffer may overlap an
-    input. The inputs are never written.
+    array, or a numpy scalar when every input is a scalar. ``scratch``, if
+    given, is a float64 buffer of the broadcast shape of ``left`` and
+    ``right`` that the call may overwrite. Neither may overlap an input,
+    except that ``out`` may be ``u``, which only the first step reads; no
+    other input is written.
     """
     x = out
     if x is None:

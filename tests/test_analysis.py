@@ -414,6 +414,25 @@ class TestLemma3:
         assert z == pytest.approx(z_value, abs=0.01)
         assert (abs(z) <= 4.0) is (scale == 1.0)
 
+    def test_exact_mean_within_bound_over_stated_range(self):
+        # The exact mean count (see test_mean_matches_exact_expectation)
+        # stays below the bound 6 eta**2 2**h from eta = 2**-(h+1) on, at
+        # every accepted depth, but not below about 0.4 * 2**-h: there the
+        # two endpoints alone give about 1.6 eta, which no eta**2 covers.
+        erf = pytest.importorskip("scipy.special").erf
+
+        def ratio(h, eta_value):
+            t = np.arange(1, 1 << h) / (1 << h)
+            interior = erf(eta_value / np.sqrt(2 * t)) * erf(eta_value / np.sqrt(2 * (1 - t)))
+            exact = 2.0 * math.erf(eta_value / math.sqrt(2.0)) + interior.sum()
+            return exact / (6.0 * eta_value**2 * 2.0**h)
+
+        for h in range(0, MAX_GRID_DEPTH + 1, 2):
+            for cells in (0.5, 1.0, 4.0, 32.0):
+                assert ratio(h, math.ldexp(cells, -h)) <= 0.87
+        assert ratio(0, 0.1) == pytest.approx(2.0 * math.erf(0.1 / math.sqrt(2.0)) / 0.06)
+        assert ratio(0, 0.1) > 1.0  # the case test_overshoot_fails runs
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lemma3_mc(-1, 0.1, trials=1, seed=0)
@@ -500,10 +519,14 @@ class TestGridWorkspace:
             finally:
                 tracemalloc.stop()
 
-        event_c_check(0.5, 10, 1, 1)  # numpy's own first-call set-up is not the workspace
+        # Two blocks: numpy's first-call set-up and the draw worker's start
+        # are not the workspace.
+        event_c_check(0.5, 10, 64, 1)
         short, long = peak(200), peak(2000)
         assert abs(long - short) <= 64 * 1024
-        assert long <= 12 * oob.analysis._BLOCK_CELLS * 8
+        # Walk, uniforms (inverted in place), two Gaussian buffers, and the
+        # reduction's temporaries of one block.
+        assert long <= 6 * oob.analysis._BLOCK_CELLS * 8
 
 
 def _report_from_fork(conn) -> None:

@@ -251,6 +251,10 @@ class TestBridgeMaxSampler:
             expected.tobytes()
         )
         assert [np.array(x, copy=True).tobytes() for x in (u, left, right)] == before
+        if kind != "scalars":  # out may be u itself, as the grid walk inverts its uniforms
+            result = bridge_max_from_uniforms(u, lengths, left, right, out=u, scratch=scratch)
+            assert result is u
+            assert u.tobytes() == expected.tobytes()
 
     def test_scalar_inputs_give_a_scalar(self):
         x = bridge_max_from_uniforms(0.37, 0.25, 0.3, -0.1)
