@@ -21,6 +21,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+# Not np.median: its first call imports numpy.ma (~5.6 ms per process, same bits).
 from statistics import median
 
 import numpy as np

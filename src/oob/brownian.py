@@ -1,23 +1,23 @@
-"""Lazily sampled Brownian motion and the exact law of a bridge maximum.
+"""The exact law of a Brownian bridge maximum, and the tests' scalar path.
 
-A :class:`BrownianPath` materializes a standard Brownian motion W on [0, 1]
-on demand. W(0) = 0 is known for free; the first query past the known range
-draws a Gaussian increment; any interior query draws from the Brownian
-bridge conditional law given its two stored neighbours. Conditioning is
-exact, so the joint law of the revealed values does not depend on the
-order of queries, and stored values never change once drawn.
-
-The second half of the module implements the classical law of the maximum
-of a Brownian bridge on [a, b] with endpoint values (wa, wb):
+The module's public content is the classical law of the maximum of a
+Brownian bridge on [a, b] with endpoint values (wa, wb):
 
     P(sup_{[a,b]} W > x | W(a)=wa, W(b)=wb) = exp(-2 (x - wa)(x - wb) / (b - a))
 
 valid for x >= max(wa, wb), both as an exceedance probability and as an
-exact inverse-CDF sampler. Given any finite evaluation set, the cells
-between consecutive points are independent bridges: the product of their
-non-exceedance probabilities is the exact conditional law of the global
-maximum, which the pac check uses, and one draw per cell is an exact
-sample of it, which the grid suites use.
+exact batched inverse-CDF sampler. Given any finite evaluation set, the
+cells between consecutive points are independent bridges: the product of
+their non-exceedance probabilities is the exact conditional law of the
+global maximum, which the pac check uses, and one draw per cell is an
+exact sample of it, which the grid suites use.
+
+The lazily sampled :class:`BrownianPath`, with :func:`new_path` and the
+scalar :func:`bridge_max_sample`, is not exported: it is the tests' scalar
+reference. W(0) = 0 is known for free; the first query past the known
+range draws a Gaussian increment; any interior query draws from the bridge
+law given its two stored neighbours. Conditioning is exact, so the joint
+law of the revealed values does not depend on the order of queries.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ import numpy as np
 
 from .rng import RandomSource
 
-__all__ = [
-    "BrownianPath",
-    "bridge_max_exceed_prob",
-    "bridge_max_from_uniforms",
-    "bridge_max_sample",
-    "new_path",
-]
+__all__ = ["bridge_max_exceed_prob", "bridge_max_from_uniforms"]
 
 
 class BrownianPath:

@@ -32,7 +32,6 @@ __all__ = [
     "compute_h_max",
     "eta",
     "run_oob",
-    "run_oob_on_path",
 ]
 
 # Deepest cutoff h_max a run may have. Every dyadic time k * 2**-h with
@@ -110,8 +109,8 @@ def run_oob(epsilon: float, seed: int) -> RunResult:
     ``ValueError`` before any draw. Identical (epsilon, seed) always
     produce bit-identical results: the only randomness is
     ``RandomSource(seed)``, consumed one Gaussian per evaluation in a
-    deterministic order. The result equals that of
-    :func:`run_oob_on_path` on ``new_path(seed)``.
+    deterministic order. Tests check the result against the scalar
+    reference :func:`run_oob_on_path` on a fresh path of the same seed.
     """
     source = RandomSource(seed)
     return _search(epsilon, source.seed, source.normal_feed())
@@ -120,9 +119,9 @@ def run_oob(epsilon: float, seed: int) -> RunResult:
 def run_oob_on_path(epsilon: float, path: BrownianPath) -> RunResult:
     """Same loop as :func:`run_oob` on a caller-provided fresh path.
 
-    The scalar reference for :func:`run_oob`'s batched draws: the path must
-    hold only W(0) = 0, one that already holds points is refused with
-    ``ValueError`` before any draw, and the loop then takes one
+    Not exported: the tests' scalar reference for :func:`run_oob`'s batched
+    draws. The path must hold only W(0) = 0, one that already holds points
+    is refused with ``ValueError`` before any draw, and the loop takes one
     ``path.rng.normal()`` per evaluation, so a fresh path yields exactly
     the :func:`run_oob` result for its seed and its stream is left one
     Gaussian per evaluation further on. The points are written back into
@@ -140,14 +139,14 @@ def _search(epsilon: float, seed: int, draw: Callable[[], float]) -> RunResult:
     """The splitting loop on standard Gaussians from ``draw``, one per evaluation.
 
     ``seed`` is only recorded in the result. Queries are t = 1 first, then
-    midpoints of whichever intervals get split: W(1) = 0 + z, and for the
-    split of [a, b] at depth h the midpoint value is
+    midpoints of whichever intervals get split. W(1) = 0 + z. Given W(a) = wa
+    and W(b) = wb, the midpoint of a depth-h interval [a, b] is Gaussian with
+    mean (wa+wb)/2 and variance 2**-(h+2), the bridge law, drawn as
 
         wm = wa + 0.5 * (wb - wa) + sd[h+1] * z,   sd[j] = sqrt(2**-(j+1)).
 
-    For dyadic a < t < b, (t-a)/(b-a) is exactly 0.5 and the bridge
-    variance exactly 2**-(h+2), so this repeats the arithmetic of
-    :meth:`BrownianPath.evaluate` bit for bit.
+    ``BrownianPath.evaluate``, the tests' scalar reference, repeats this
+    arithmetic bit for bit.
 
     The selectable intervals live in a heap of plain tuples (-B, h, k, wa, wb):
     the interval [k/2**h, (k+1)/2**h] with endpoint values wa, wb and

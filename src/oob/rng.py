@@ -18,9 +18,9 @@ from itertools import chain, count
 
 import numpy as np
 
-__all__ = ["MASK64", "RandomSource", "derive_seed", "splitmix64"]
+__all__ = ["RandomSource", "derive_seed", "splitmix64"]
 
-MASK64 = (1 << 64) - 1
+_MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -39,16 +39,16 @@ def splitmix64(value: int) -> int:
     increment, then the murmur-style finalizer). It is bijective on the
     64-bit range, so distinct inputs below 2**64 never collide.
     """
-    x = (value + _GAMMA) & MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+    x = (value + _GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
 
 
 def _check_u64(value: int, name: str = "seed") -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0 or value > MASK64:
+    if value < 0 or value > _MASK64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
     return int(value)
 
@@ -106,7 +106,7 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
     def normal(self) -> float:
-        """One standard Gaussian draw."""
+        """One standard Gaussian draw: a scalar reference, as package code draws in batches."""
         return float(self._gen.standard_normal())
 
     def normal_feed(self) -> Callable[[], float]:
@@ -123,7 +123,7 @@ class RandomSource:
         return chain.from_iterable(batches).__next__
 
     def uniform_open(self) -> float:
-        """One uniform draw on (0, 1]."""
+        """One uniform draw on (0, 1]: a scalar reference, as package code draws in batches."""
         return 1.0 - float(self._gen.random())
 
     def normals(

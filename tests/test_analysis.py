@@ -20,7 +20,6 @@ import oob.analysis
 import oob.optimizer
 from oob import (
     MAX_DEPTH,
-    BrownianPath,
     RandomSource,
     baseline_separation,
     bridge_max_from_uniforms,
@@ -34,6 +33,7 @@ from oob import (
     wilson_ci,
 )
 from oob.analysis import MAX_GRID_DEPTH, _exceed_prob, _rate_report
+from oob.brownian import BrownianPath
 
 
 class _GridReached(Exception):

@@ -13,14 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oob import (
-    BrownianPath,
-    RandomSource,
-    bridge_max_exceed_prob,
-    bridge_max_from_uniforms,
-    bridge_max_sample,
-    new_path,
-)
+from oob import RandomSource, bridge_max_exceed_prob, bridge_max_from_uniforms
+from oob.brownian import BrownianPath, bridge_max_sample, new_path
 
 
 def _paths(seed, n):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oob import RandomSource, compute_h_max, eta, new_path, run_oob, run_oob_on_path
-from oob import optimizer
+from oob import RandomSource, compute_h_max, eta, optimizer, run_oob
+from oob.optimizer import new_path, run_oob_on_path
 
 
 class TestEta:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oob import MASK64, RandomSource, derive_seed, splitmix64
+from oob import RandomSource, derive_seed, splitmix64
+from oob.rng import _MASK64
 
 
 class TestSplitmix64:
@@ -18,8 +19,8 @@ class TestSplitmix64:
         assert splitmix64((2 * gamma) % 2**64) == 0x06C45D188009454F
 
     def test_stays_in_64_bits(self):
-        for x in (0, 1, MASK64, 2**63, 123456789):
-            assert 0 <= splitmix64(x) <= MASK64
+        for x in (0, 1, _MASK64, 2**63, 123456789):
+            assert 0 <= splitmix64(x) <= _MASK64
 
     def test_injective_on_small_range(self):
         outputs = {splitmix64(i) for i in range(10000)}
@@ -50,8 +51,8 @@ class TestDeriveSeed:
             derive_seed(12345, index)
 
     def test_index_range_ends(self):
-        assert derive_seed(7, MASK64) == 7 ^ splitmix64(MASK64)
-        assert derive_seed(7, np.uint64(MASK64)) == derive_seed(7, MASK64)
+        assert derive_seed(7, _MASK64) == 7 ^ splitmix64(_MASK64)
+        assert derive_seed(7, np.uint64(_MASK64)) == derive_seed(7, _MASK64)
         assert derive_seed(7, np.int64(3)) == derive_seed(7, 3)
 
 
