@@ -41,7 +41,6 @@ __all__ = [
     "event_c_check",
     "lemma3_mc",
     "pac_estimate",
-    "wilson_ci",
 ]
 
 # Two-sided 95% standard normal quantile, Phi^-1(0.975).
@@ -54,7 +53,7 @@ _RUNNER_TAG = 0x72756E6E6572  # "runner"
 _MIN_FACTOR = 3.0
 
 
-def wilson_ci(successes: float, trials: int) -> tuple[float, float]:
+def _wilson_ci(successes: float, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion.
 
     Stays valid near 0 and 1 where the normal-approximation interval
@@ -116,7 +115,7 @@ def _rate_report(
 ) -> VerificationReport:
     """Report of a rate suite: passes when the Wilson 95% upper limit of
     ``violations`` in ``trials`` is at most ``bound``; ``metadata`` gains the comparison."""
-    upper = wilson_ci(violations, trials)[1]
+    upper = _wilson_ci(violations, trials)[1]
     return VerificationReport(
         trials=trials,
         violations=violations,
@@ -429,8 +428,9 @@ def baseline_separation(
         raise ValueError(f"grid_sizes must be positive powers of two <= 2**{MAX_GRID_DEPTH}")
     if any(grid_sizes[i + 1] <= grid_sizes[i] for i in range(len(grid_sizes) - 1)):
         raise ValueError("grid_sizes must be strictly increasing")
-    if trials < 1 or oob_runs < 1:
-        raise ValueError("trials and oob_runs must be >= 1")
+    for name, count in (("trials", trials), ("oob_runs", oob_runs)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
     streams = _grid_streams(seed)
     medians = {}

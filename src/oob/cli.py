@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from .analysis import (
     VerificationReport,
@@ -26,31 +27,32 @@ from .analysis import (
 from .optimizer import RunResult, compute_h_max, run_oob
 from .rng import _check_u64, derive_seed
 
-__all__ = ["CSV_HEADER", "main", "run_sweep"]
+__all__ = ["main"]
 
-CSV_HEADER = ("epsilon", "seed", "n_evals", "m_hat", "t_hat", "h_max", "ln2_inv_eps")
+_CSV_HEADER = ("epsilon", "seed", "n_evals", "m_hat", "t_hat", "h_max", "ln2_inv_eps")
 
 DEFAULT_SWEEP_EPSILONS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
 
-def run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> list[RunResult]:
+def _run_sweep(epsilons: tuple[float, ...], trials: int, seed: int) -> Iterator[RunResult]:
     """Runs for every (epsilon, trial) pair, grouped by epsilon in given order.
 
     Trial j uses the derived seed ``derive_seed(seed, j)`` at every epsilon,
     so runs are paired across epsilon levels and reproducible one-by-one
-    with ``run --epsilon E --seed <row seed>``. An empty ``epsilons``, a
-    ``trials`` below 1 and an epsilon that :func:`run_oob` would refuse
-    raise ``ValueError`` before any draw.
+    with ``run --epsilon E --seed <row seed>``. The arguments are checked
+    before any draw; each run is made as the returned iterator reaches it.
     """
-    if not epsilons or trials < 1:
-        raise ValueError(f"need epsilons and trials >= 1, got {epsilons}, {trials}")
+    if not epsilons:
+        raise ValueError("epsilons must be non-empty")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     for epsilon in epsilons:
         compute_h_max(epsilon)
-    return [run_oob(epsilon, derive_seed(seed, j)) for epsilon in epsilons for j in range(trials)]
+    return (run_oob(epsilon, derive_seed(seed, j)) for epsilon in epsilons for j in range(trials))
 
 
 def _row(result: RunResult) -> dict:
-    """One run as the ``CSV_HEADER`` fields, in that order."""
+    """One run as the ``_CSV_HEADER`` fields, in that order."""
     return {
         "epsilon": result.epsilon,
         "seed": result.seed,
@@ -73,10 +75,10 @@ def _json(obj) -> str:
 
 
 def _sweep(args: argparse.Namespace, seed: int) -> tuple[str, int]:
-    rows = [_row(result) for result in run_sweep(args.epsilons, args.trials, seed)]
+    rows = [_row(result) for result in _run_sweep(args.epsilons, args.trials, seed)]
     if args.format == "json":
         return _json(rows), 0
-    lines = [CSV_HEADER, *([_field(v) for v in row.values()] for row in rows)]
+    lines = [_CSV_HEADER, *([_field(v) for v in row.values()] for row in rows)]
     return "".join(",".join(line) + "\n" for line in lines), 0
 
 

@@ -18,7 +18,7 @@ from itertools import chain, count
 
 import numpy as np
 
-__all__ = ["RandomSource", "derive_seed", "splitmix64"]
+__all__ = ["RandomSource", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -32,7 +32,7 @@ _MIX2 = 0x94D049BB133111EB
 _FEED_FIRST_BATCH = 128
 
 
-def splitmix64(value: int) -> int:
+def _splitmix64(value: int) -> int:
     """One SplitMix64 step: scramble an integer into a well-mixed 64-bit one.
 
     This is the standard SplitMix64 update (advance by the golden-ratio
@@ -56,13 +56,13 @@ def _check_u64(value: int, name: str = "seed") -> int:
 def derive_seed(seed: int, index: int) -> int:
     """Child seed ``index`` of an experiment rooted at ``seed``.
 
-    Defined as ``seed XOR splitmix64(index)``. The scramble spreads child
+    Defined as ``seed XOR _splitmix64(index)``. The scramble spreads child
     seeds across the 64-bit range even for consecutive indices, and the
     derivation is pure arithmetic, hence stable across processes and runs.
     Both arguments must be integers in [0, 2**64 - 1]; anything else, a
     bool included, raises ValueError.
     """
-    return _check_u64(seed) ^ splitmix64(_check_u64(index, "index"))
+    return _check_u64(seed) ^ _splitmix64(_check_u64(index, "index"))
 
 
 class RandomSource:

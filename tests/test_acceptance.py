@@ -24,7 +24,8 @@ from oob import (
     lemma3_mc,
     pac_estimate,
 )
-from oob.cli import DEFAULT_SWEEP_EPSILONS, run_sweep
+from oob.cli import DEFAULT_SWEEP_EPSILONS
+from oob.cli import _run_sweep as run_sweep
 
 pytestmark = pytest.mark.acceptance
 
@@ -54,19 +55,20 @@ def test_criterion_2_sample_complexity_shape():
     # Mean evaluation counts over 250 runs per epsilon must be nearly
     # linear in ln^2(1/eps), and the smallest epsilon must respect the
     # structural evaluation cap 2^(h_max + 1).
-    rows = run_sweep(DEFAULT_SWEEP_EPSILONS, trials=250, seed=2026)
+    counts = {epsilon: [] for epsilon in DEFAULT_SWEEP_EPSILONS}
+    for run in run_sweep(DEFAULT_SWEEP_EPSILONS, trials=250, seed=2026):
+        counts[run.epsilon].append(run.n_evals)
     means = []
     for epsilon in DEFAULT_SWEEP_EPSILONS:
-        counts = [row.n_evals for row in rows if row.epsilon == epsilon]
-        assert len(counts) == 250
-        means.append(sum(counts) / len(counts))
+        assert len(counts[epsilon]) == 250
+        means.append(sum(counts[epsilon]) / len(counts[epsilon]))
     x = np.array([math.log(1.0 / e) ** 2 for e in DEFAULT_SWEEP_EPSILONS])
     y = np.array(means)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sum((y - (slope * x + intercept)) ** 2))
     r_squared = 1.0 - residual / float(np.sum((y - y.mean()) ** 2))
     cap = 2 ** (compute_h_max(0.001) + 1)
-    worst = max(row.n_evals for row in rows if row.epsilon == 0.001)
+    worst = max(counts[0.001])
     ok = r_squared >= 0.95 and worst <= cap
     _gate(2, "complexity shape", ok,
           f"r_squared={r_squared:.5f} (need >=0.95), "

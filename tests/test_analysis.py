@@ -30,9 +30,9 @@ from oob import (
     lemma3_mc,
     pac_estimate,
     run_oob,
-    wilson_ci,
 )
 from oob.analysis import MAX_GRID_DEPTH, _exceed_prob, _rate_report
+from oob.analysis import _wilson_ci as wilson_ci
 from oob.brownian import BrownianPath
 
 

@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,9 @@ import oob.analysis
 import oob.cli
 from oob import RandomSource, derive_seed, run_oob
 from oob.analysis import MAX_GRID_DEPTH
-from oob.cli import CSV_HEADER, build_parser, main, run_sweep
+from oob.cli import _CSV_HEADER as CSV_HEADER
+from oob.cli import _run_sweep as run_sweep
+from oob.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -58,6 +61,23 @@ REFUSED = [
 ]
 # What a refusal must name, by the flag that set the refused value.
 REFUSED_NAMES = {"--seed": "--seed", "--depth": "depth"}
+# A refused count or an empty list gets the same line from every command.
+REFUSED_COUNTS = [
+    *((command[:-1], "0", "trials must be >= 1, got 0") for command in COMMANDS[1:]),
+    (["sweep", "--trials", "1", "--epsilons"], ",", "epsilons must be non-empty"),
+    (["verify", "baseline", "--trials", "1", "--epsilons"], ",", "epsilons must be non-empty"),
+]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Names of the RandomSource draw methods called, in call order."""
+    calls = []
+    for name in ("normal", "normals", "uniform_open", "uniforms_open"):
+        original = getattr(RandomSource, name)
+        monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
+                            calls.append(_n) or _f(*a))
+    return calls
 
 
 class TestRun:
@@ -117,12 +137,7 @@ class TestRun:
         (["verify", "baseline", "--trials", "1", "--epsilons"], "0.1,1e-9"),
         *(pytest.param(argv, value, id=" ".join([*argv, value])) for argv, value in REFUSED),
     ])
-    def test_unreachable_epsilon_exits_2(self, argv, value, tmp_path, capsys, monkeypatch):
-        draws = []
-        for name in ("normal", "normals", "uniform_open", "uniforms_open"):
-            original = getattr(RandomSource, name)
-            monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
-                                draws.append(_n) or _f(*a))
+    def test_unreachable_epsilon_exits_2(self, argv, value, tmp_path, capsys, draws):
         name = REFUSED_NAMES.get(argv[-1], "")
         target = tmp_path / "out.txt"
         code, out, err = run_cli([*argv, value, "--out", str(target)], capsys)
@@ -131,6 +146,17 @@ class TestRun:
         assert err.startswith("oob: error: ")
         assert err.count("\n") == 1
         assert name in err
+        assert not target.exists()
+        assert draws == []
+
+    @pytest.mark.parametrize("argv, value, message", [
+        pytest.param(argv, value, message, id=" ".join([*argv, value]))
+        for argv, value, message in REFUSED_COUNTS
+    ])
+    def test_refused_count_names_its_value(self, argv, value, message, tmp_path, capsys, draws):
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli([*argv, value, "--out", str(target)], capsys)
+        assert (code, out, err) == (2, "", f"oob: error: {message}\n")
         assert not target.exists()
         assert draws == []
 
@@ -182,6 +208,21 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["seed"] == derive_seed(5, 0)
         assert rows[0]["n_evals"] == run_oob(0.1, derive_seed(5, 0)).n_evals
+
+    def test_holds_one_run_at_a_time(self, tmp_path):
+        # Ten times the runs must not raise the traced peak by 1 MB: a
+        # sweep keeps each run's row, not the run and its trace.
+        def peak(trials):
+            args = ["sweep", "--epsilons", "0.01", "--trials", str(trials)]
+            tracemalloc.start()
+            try:
+                assert main([*args, "--out", str(tmp_path / f"{trials}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the parser and first-call imports, outside the comparison
+        assert peak(200) - peak(20) < 1_000_000
 
     def test_matches_library_helper(self, capsys):
         rows = run_sweep((0.1,), 2, 5)

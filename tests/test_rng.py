@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oob import RandomSource, derive_seed, splitmix64
+from oob import RandomSource, derive_seed
 from oob.rng import _MASK64
+from oob.rng import _splitmix64 as splitmix64
 
 
 class TestSplitmix64:
