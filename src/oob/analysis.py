@@ -49,7 +49,9 @@ _Z95 = 1.959963984540054
 # Stream tag of the baseline's optimizer runs, kept apart from trial seeds.
 _RUNNER_TAG = 0x72756E6E6572  # "runner"
 
-# Cost ratio the baseline suite requires at its smallest epsilon.
+# The baseline suite's grid sizes, 16 to 16384 points in increasing order,
+# and the cost ratio it requires at its smallest epsilon.
+_GRID_SIZES = tuple(2**k for k in range(4, 15))
 _MIN_FACTOR = 3.0
 
 
@@ -394,21 +396,19 @@ def event_c_check(
 
 def baseline_separation(
     epsilons: tuple[float, ...] = (0.05, 0.01),
-    grid_sizes: tuple[int, ...] = tuple(2**k for k in range(4, 15)),
     trials: int = 101,
     oob_runs: int = 200,
     seed: int = 0,
 ) -> VerificationReport:
     """Compare grid sizes needed for target error against optimizer cost.
 
-    For each grid size n, the median conditional error M - m_hat is
-    measured over ``trials`` fresh paths, m_hat being the best grid value
-    (t = 0 included) and M the max of the exact cell sups: each trial is a
-    row of :func:`_grid_blocks` at depth log2(n). The levels draw in turn,
-    in increasing grid size, from one pair of grid streams seeded ``seed``,
-    so appending a larger size leaves every earlier level's draws
-    unchanged. ``grid_sizes`` must be strictly increasing powers of two up
-    to ``2**MAX_GRID_DEPTH``. For each target epsilon, in decreasing
+    For each grid size n in ``_GRID_SIZES``, the median conditional error
+    M - m_hat is measured over ``trials`` fresh paths, m_hat being the best
+    grid value (t = 0 included) and M the max of the exact cell sups: each
+    trial is a row of :func:`_grid_blocks` at depth log2(n). The levels
+    draw in turn, in increasing grid size, from one pair of grid streams
+    seeded ``seed``, so appending a larger size leaves every earlier
+    level's draws unchanged. For each target epsilon, in decreasing
     order, the smallest grid size whose median error is <= epsilon is
     divided by the optimizer's mean evaluation count at that epsilon. The
     suite passes when every target is reachable, the cost ratio strictly
@@ -423,19 +423,14 @@ def baseline_separation(
         compute_h_max(epsilon)
     if any(epsilons[i + 1] >= epsilons[i] for i in range(len(epsilons) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
-    # A size that is not a power of two would walk the grid of its top bit.
-    if not grid_sizes or any(n < 1 or n & (n - 1) or n > 1 << MAX_GRID_DEPTH for n in grid_sizes):
-        raise ValueError(f"grid_sizes must be positive powers of two <= 2**{MAX_GRID_DEPTH}")
-    if any(grid_sizes[i + 1] <= grid_sizes[i] for i in range(len(grid_sizes) - 1)):
-        raise ValueError("grid_sizes must be strictly increasing")
     for name, count in (("trials", trials), ("oob_runs", oob_runs)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
     streams = _grid_streams(seed)
     medians = {}
-    for n in grid_sizes:
-        blocks = _grid_blocks(*streams, trials, int(n).bit_length() - 1)
+    for n in _GRID_SIZES:
+        blocks = _grid_blocks(*streams, trials, n.bit_length() - 1)
         errors = [sups.max(axis=1) - w.max(axis=1) for w, sups in blocks]
         medians[n] = median(np.concatenate(errors).tolist())
 
@@ -449,7 +444,7 @@ def baseline_separation(
             run_oob(epsilon, derive_seed(base, j)).n_evals for j in range(oob_runs)
         ) / oob_runs
         mean_evals.append(mean_n)
-        n_req = next((n for n in grid_sizes if medians[n] <= epsilon), None)
+        n_req = next((n for n in _GRID_SIZES if medians[n] <= epsilon), None)
         required.append(n_req)
         ratio = None if n_req is None else n_req / mean_n
         ratios.append(ratio)
@@ -469,11 +464,11 @@ def baseline_separation(
         metadata={
             "suite": "baseline",
             "epsilons": list(epsilons),
-            "grid_sizes": list(grid_sizes),
+            "grid_sizes": list(_GRID_SIZES),
             "trials_per_grid": trials,
             "oob_runs": oob_runs,
             "seed": seed,
-            "median_errors": {str(n): medians[n] for n in grid_sizes},
+            "median_errors": {str(n): medians[n] for n in _GRID_SIZES},
             "required_grid_n": required,
             "oob_mean_evals": mean_evals,
             "cost_ratios": ratios,

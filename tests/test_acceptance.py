@@ -1,8 +1,8 @@
 """Acceptance gate: every advertised guarantee at its stated tolerance.
 
-Each test prints exactly one PASS/FAIL line (visible with ``pytest -s``
-or in captured output) and then asserts, so a red run still reports the
-measured numbers for every criterion that executed.
+Each criterion test prints exactly one PASS/FAIL line (visible with
+``pytest -s`` or in captured output) and then asserts, so a red run still
+reports the measured numbers for every criterion that executed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from oob import (
     bridge_max_exceed_prob,
     bridge_max_from_uniforms,
     compute_h_max,
+    derive_seed,
     event_c_check,
     lemma3_mc,
     pac_estimate,
 )
 from oob.cli import DEFAULT_SWEEP_EPSILONS
 from oob.cli import _run_sweep as run_sweep
+from oob.optimizer import _search
 
 pytestmark = pytest.mark.acceptance
 
@@ -174,3 +176,91 @@ def test_criterion_8_byte_determinism(tmp_path):
         ok = ok and identical
         parts.append(f"{' '.join(command)}: {'identical' if identical else 'DIFFERS'}")
     _gate(8, "byte determinism", ok, "; ".join(parts))
+
+
+def _residuals(trace) -> np.ndarray:
+    """A run's standardized residuals, one per trace point, from the trace alone.
+
+    The first point is W(1), so z = W(1). A later point t = (2k+1) * 2**-j
+    is a bridge midpoint between its parents t - 2**-j and t + 2**-j, each
+    earlier in the trace or t = 0, so
+    z = (w - (w(t - 2**-j) + w(t + 2**-j)) / 2) / sqrt(2**-(j+1)). Every
+    trace time is a dyadic double, so ``as_integer_ratio`` gives j exactly.
+    A parent missing from the trace raises ``KeyError``.
+    """
+    (t1, w1), *later = trace
+    assert t1 == 1.0
+    known = {0.0: 0.0, 1.0: w1}
+    z = [w1]
+    for t, w in later:
+        j = t.as_integer_ratio()[1].bit_length() - 1
+        half = math.ldexp(1.0, -j)
+        z.append((w - 0.5 * (known[t - half] + known[t + half])) / math.sqrt(0.5 * half))
+        known[t] = w
+    return np.array(z)
+
+
+def _law_audit(epsilon: float, root: int, runs: int = 40, law=None) -> tuple[float, float]:
+    """Mean and variance z-scores of the residuals of ``runs`` runs at ``epsilon``.
+
+    Run r is ``run_oob(epsilon, derive_seed(root, r))``; ``law`` maps each
+    standard Gaussian the loop draws to the one it uses instead (a mutant).
+    A run's length is a stopping time of its draws, so its residuals are
+    not i.i.d. and the unit is the run: by Wald's identity each run's sum
+    of z and sum of z**2 - 1 have mean 0, and the runs are independent.
+    Each z-score is the mean of one per-run sum over its standard error.
+    """
+    sums = []
+    for r in range(runs):
+        seed = derive_seed(root, r)
+        feed = RandomSource(seed).normal_feed()
+        draw = feed if law is None else lambda: law(feed())
+        z = _residuals(_search(epsilon, seed, draw).trace)
+        sums.append((z.sum(), (z * z - 1.0).sum()))
+    sums = np.array(sums)
+    z = sums.mean(axis=0) / (sums.std(axis=0, ddof=1) / math.sqrt(runs))
+    return float(z[0]), float(z[1])
+
+
+_AUDIT_ROOTS = {0.1: 2110, 0.01: 2111}
+
+
+def test_criterion_11_trace_law_audit():
+    # Every point of every trace must be drawn from the Brownian law given
+    # its parents; 40 runs per epsilon, both z-scores within 4.
+    parts = []
+    ok = True
+    for epsilon, root in _AUDIT_ROOTS.items():
+        z_mean, z_var = _law_audit(epsilon, root)
+        ok = ok and abs(z_mean) <= 4.0 and abs(z_var) <= 4.0
+        parts.append(f"eps={epsilon}: mean z={z_mean:+.2f} variance z={z_var:+.2f}")
+    _gate(11, "trace law audit", ok, "; ".join(parts) + " (need |z| <= 4)")
+
+
+def test_criterion_11_residuals_are_the_draws():
+    # The audit reads back, from the trace alone, the Gaussians the loop drew.
+    feed = RandomSource(7).normal_feed()
+    drawn = []
+
+    def draw():
+        drawn.append(feed())
+        return drawn[-1]
+
+    trace = _search(0.01, 7, draw).trace
+    assert np.max(np.abs(_residuals(trace) - drawn)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "epsilon,law,statistic",
+    [
+        pytest.param(0.01, lambda z: 0.95 * z, 1, id="sd x0.95"),
+        pytest.param(0.01, lambda z: 1.1 * z, 1, id="sd x1.1"),
+        pytest.param(0.01, lambda z: 0.8 * z, 1, id="sd x0.8"),
+        pytest.param(0.1, lambda z: z + 0.1, 0, id="mean +0.1sd eps=0.1"),
+        pytest.param(0.01, lambda z: z + 0.1, 0, id="mean +0.1sd eps=0.01"),
+    ],
+)
+def test_criterion_11_kills_wrong_midpoint_laws(epsilon, law, statistic):
+    # The same runs as the criterion, each Gaussian the loop draws mapped
+    # through a wrong law: the audit must see it at |z| > 4.
+    assert abs(_law_audit(epsilon, _AUDIT_ROOTS[epsilon], law=law)[statistic]) > 4.0

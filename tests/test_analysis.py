@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from statistics import median
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,10 +36,17 @@ from oob import (
 from oob.analysis import MAX_GRID_DEPTH, _exceed_prob, _rate_report
 from oob.analysis import _wilson_ci as wilson_ci
 from oob.brownian import BrownianPath
+from oob.cli import main
 
 
 class _GridReached(Exception):
     pass
+
+
+def _baseline_on(grid_sizes, **kwargs):
+    """``baseline_separation(**kwargs)`` with its grid ladder patched to ``grid_sizes``."""
+    with patch.object(oob.analysis, "_GRID_SIZES", grid_sizes):
+        return baseline_separation(**kwargs)
 
 
 @pytest.fixture
@@ -485,7 +494,7 @@ class TestGridStreams:
         event_c_check(0.5, 4, 5000, 3)
         assert built == pair
         built.clear()
-        baseline_separation((0.05, 0.01), (16, 64, 256), trials=5, oob_runs=3, seed=3)
+        _baseline_on((16, 64, 256), epsilons=(0.05, 0.01), trials=5, oob_runs=3, seed=3)
         assert built[:2] == pair
         assert len(built) == 2 + 2 * 3
 
@@ -498,9 +507,7 @@ class TestGridWorkspace:
         "lemma3 deep": lambda: lemma3_mc(12, 0.02, 3, 2),
         "eventc": lambda: event_c_check(0.5, 10, 37, 1),
         "eventc violating": lambda: event_c_check(0.5, 8, 4000, 1),
-        "baseline": lambda: baseline_separation(
-            grid_sizes=(16, 256, 4096), trials=37, oob_runs=2, seed=4
-        ),
+        "baseline": lambda: _baseline_on((16, 256, 4096), trials=37, oob_runs=2, seed=4),
     }
 
     @pytest.mark.parametrize("cells", [1 << 11, 1 << 17])
@@ -781,7 +788,7 @@ class TestBaseline:
         # 4..8 give even and odd medians; at 8192 points a block holds 4
         # trials.
         grid_sizes, trials = (1, 16, 256, 8192), 4 + seed
-        report = baseline_separation(grid_sizes=grid_sizes, trials=trials, oob_runs=1, seed=seed)
+        report = _baseline_on(grid_sizes, trials=trials, oob_runs=1, seed=seed)
         streams = _grid_streams(seed)
         for n in grid_sizes:
             grids = _trial_grid(*streams, trials, n.bit_length() - 1)
@@ -789,50 +796,36 @@ class TestBaseline:
             assert report.metadata["median_errors"][str(n)] == float(median(errors))
 
     def test_added_level_keeps_earlier_levels(self):
-        short = baseline_separation(grid_sizes=(16, 64), trials=7, oob_runs=1, seed=3)
-        long = baseline_separation(grid_sizes=(16, 64, 256), trials=7, oob_runs=1, seed=3)
-        for n in ("16", "64"):
-            assert short.metadata["median_errors"][n] == long.metadata["median_errors"][n]
+        # Appending sizes to the ladder must not move the earlier levels.
+        short = _baseline_on((16, 64), trials=7, oob_runs=1, seed=3)
+        for ladder in ((16, 64, 256), (16, 64, 256, 1024)):
+            long = _baseline_on(ladder, trials=7, oob_runs=1, seed=3)
+            for n in ("16", "64"):
+                assert short.metadata["median_errors"][n] == long.metadata["median_errors"][n]
 
-    def test_numpy_integer_sizes(self):
-        plain = baseline_separation(grid_sizes=(16, 64), trials=3, oob_runs=1, seed=2)
-        sizes = tuple(np.int64(n) for n in (16, 64))
-        numpy = baseline_separation(grid_sizes=sizes, trials=3, oob_runs=1, seed=2)
-        assert numpy.metadata["median_errors"] == plain.metadata["median_errors"]
-
-    def test_validation(self, grid_depths):
-        # Sizes that are not powers of two, or that are above the grid
-        # ceiling, are refused before any grid is requested.
-        bad = ((), (0, 16), (-4,), (3,), (16, 48), (2 << MAX_GRID_DEPTH,), (2**34,))
-        for grid_sizes in bad:
-            with pytest.raises(ValueError, match="positive"):
-                baseline_separation(grid_sizes=grid_sizes, trials=2, oob_runs=2)
-        assert grid_depths == []
-        with pytest.raises(_GridReached):
-            baseline_separation(grid_sizes=(1 << MAX_GRID_DEPTH,), trials=1, oob_runs=1)
-        assert grid_depths == [MAX_GRID_DEPTH]
+    def test_fixed_ladder(self, tmp_path):
+        # The ladder is a constant, not an argument: strictly increasing
+        # powers of two within the grid ceiling, reported as it is.
+        ladder = oob.analysis._GRID_SIZES
+        assert ladder == tuple(2**k for k in range(4, 15))
+        assert all(n & (n - 1) == 0 and 1 <= n <= 1 << MAX_GRID_DEPTH for n in ladder)
+        assert all(a < b for a, b in zip(ladder, ladder[1:]))
+        target = tmp_path / "baseline.json"
+        assert main(["verify", "baseline", "--trials", "5", "--seed", "1", "--out", str(target)]) == 0
+        assert json.loads(target.read_text())["metadata"]["grid_sizes"] == list(ladder)
+        with pytest.raises(TypeError):
+            baseline_separation(grid_sizes=ladder, trials=2, oob_runs=2)
 
     def test_separation_smoke(self):
-        report = baseline_separation(
-            epsilons=(0.05, 0.01),
-            grid_sizes=tuple(2**k for k in range(4, 14)),
-            trials=15,
-            oob_runs=25,
-            seed=3,
-        )
+        ladder = tuple(2**k for k in range(4, 14))
+        report = _baseline_on(ladder, epsilons=(0.05, 0.01), trials=15, oob_runs=25, seed=3)
         assert report.passed
         ratios = report.metadata["cost_ratios"]
         assert ratios[0] < ratios[1]
         assert ratios[1] >= 3.0
         meds = report.metadata["median_errors"]
         assert meds["16"] > meds["8192"]  # coarse grids err more
-        again = baseline_separation(
-            epsilons=(0.05, 0.01),
-            grid_sizes=tuple(2**k for k in range(4, 14)),
-            trials=15,
-            oob_runs=25,
-            seed=3,
-        )
+        again = _baseline_on(ladder, epsilons=(0.05, 0.01), trials=15, oob_runs=25, seed=3)
         assert report == again
 
     def test_separation_validation(self):
@@ -851,8 +844,3 @@ class TestBaseline:
             baseline_separation(epsilons=(), trials=2, oob_runs=2)
         with pytest.raises(ValueError):
             baseline_separation(epsilons=(0.05,), trials=0)
-        # "The smallest grid reaching eps" is the first one only in
-        # increasing order; a repeated size would collapse a level.
-        for grid_sizes in (tuple(2**k for k in range(14, 3, -1)), (16, 64, 64, 256)):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                baseline_separation(grid_sizes=grid_sizes, trials=2, oob_runs=2)
