@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 # Not np.median: its first call imports numpy.ma (~5.6 ms per process, same bits).
 from statistics import median
 
 import numpy as np
 
 from .brownian import bridge_max_exceed_prob, bridge_max_from_uniforms
-from .optimizer import compute_h_max, eta, run_oob
+from .optimizer import eta, run_oob
 from .rng import RandomSource, derive_seed
 
 # Kept only as the benchmark tracer's hook targets until the next benchmark change retires them.
@@ -50,8 +50,10 @@ _Z95 = 1.959963984540054
 _RUNNER_TAG = 0x72756E6E6572  # "runner"
 
 # The baseline suite's grid sizes, 16 to 16384 points in increasing order,
-# and the cost ratio it requires at its smallest epsilon.
+# its target epsilons in decreasing order, and the cost ratio it requires
+# at the smallest one.
 _GRID_SIZES = tuple(2**k for k in range(4, 15))
+_EPSILONS = (0.05, 0.01)
 _MIN_FACTOR = 3.0
 
 
@@ -92,7 +94,7 @@ class VerificationReport:
     bound: float
     wilson_upper_95: float | None
     passed: bool
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     @property
     def empirical_rate(self) -> float:
@@ -395,34 +397,25 @@ def event_c_check(
 
 
 def baseline_separation(
-    epsilons: tuple[float, ...] = (0.05, 0.01),
-    trials: int = 101,
-    oob_runs: int = 200,
-    seed: int = 0,
+    trials: int = 101, oob_runs: int = 200, seed: int = 0
 ) -> VerificationReport:
     """Compare grid sizes needed for target error against optimizer cost.
 
     For each grid size n in ``_GRID_SIZES``, the median conditional error
-    M - m_hat is measured over ``trials`` fresh paths, m_hat being the best
-    grid value (t = 0 included) and M the max of the exact cell sups: each
-    trial is a row of :func:`_grid_blocks` at depth log2(n). The levels
-    draw in turn, in increasing grid size, from one pair of grid streams
-    seeded ``seed``, so appending a larger size leaves every earlier
-    level's draws unchanged. For each target epsilon, in decreasing
-    order, the smallest grid size whose median error is <= epsilon is
-    divided by the optimizer's mean evaluation count at that epsilon. The
-    suite passes when every target is reachable, the cost ratio strictly
-    grows as epsilon shrinks, and the ratio at the smallest epsilon is at
-    least 3. One violation is counted per epsilon level that breaks its
-    part of that contract. Every argument, an epsilon that :func:`run_oob`
-    would refuse included, is checked before any draw.
+    M - m_hat is measured over ``trials`` fresh paths, m_hat being the
+    best grid value (t = 0 included) and M the max of the exact cell sups:
+    each trial is a row of :func:`_grid_blocks` at depth log2(n). The
+    levels draw in turn, in increasing grid size, from one pair of grid
+    streams seeded ``seed``, so appending a larger size leaves every
+    earlier level's draws unchanged. For each target epsilon in
+    ``_EPSILONS``, in decreasing order, the smallest grid size whose
+    median error is <= epsilon is divided by the optimizer's mean
+    evaluation count at that epsilon. The suite passes when every target
+    is reachable, the cost ratio strictly grows as epsilon shrinks, and
+    the ratio at the smallest epsilon is at least 3. One violation is
+    counted per epsilon level that breaks its part of that contract. Both
+    counts are checked before any draw.
     """
-    if len(epsilons) < 1:
-        raise ValueError("epsilons must be non-empty")
-    for epsilon in epsilons:
-        compute_h_max(epsilon)
-    if any(epsilons[i + 1] >= epsilons[i] for i in range(len(epsilons) - 1)):
-        raise ValueError("epsilons must be strictly decreasing")
     for name, count in (("trials", trials), ("oob_runs", oob_runs)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
@@ -438,7 +431,7 @@ def baseline_separation(
     mean_evals = []
     required = []
     violations = 0
-    for level, epsilon in enumerate(epsilons):
+    for level, epsilon in enumerate(_EPSILONS):
         base = derive_seed(seed, _RUNNER_TAG + level)
         mean_n = sum(
             run_oob(epsilon, derive_seed(base, j)).n_evals for j in range(oob_runs)
@@ -452,18 +445,18 @@ def baseline_separation(
         if not failed and level > 0:
             previous = ratios[level - 1]
             failed = previous is None or ratio <= previous
-        if not failed and level == len(epsilons) - 1:
+        if not failed and level == len(_EPSILONS) - 1:
             failed = ratio < _MIN_FACTOR
         violations += failed
     return VerificationReport(
-        trials=len(epsilons),
+        trials=len(_EPSILONS),
         violations=violations,
         bound=_MIN_FACTOR,
         wilson_upper_95=None,
         passed=violations == 0,
         metadata={
             "suite": "baseline",
-            "epsilons": list(epsilons),
+            "epsilons": list(_EPSILONS),
             "grid_sizes": list(_GRID_SIZES),
             "trials_per_grid": trials,
             "oob_runs": oob_runs,

@@ -4,7 +4,9 @@ Flags are only parsed here; each value is checked by the library function
 that uses it, except that the seed's range is checked here, by the rng's
 own rule, so that a refusal names ``--seed``. Exit codes: 0 for success
 (and for a verification that passed), 1 for a verification that ran fine
-but failed its bound, 2 for usage errors. Output is deterministic
+but failed its bound, 2 for usage errors. An unwritable ``--out`` is one
+too, but it is opened only after the command's work is done, so that a
+refused value leaves no file behind. Output is deterministic
 byte-for-byte given identical flags; ``--seed`` defaults to 0.
 """
 
@@ -164,19 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
     )
 
-    baseline_p = suites.add_parser("baseline", help="grid size vs optimizer cost")
-    baseline_p.add_argument(
-        "--epsilons",
-        type=_epsilon_list,
-        default=(0.05, 0.01),
-        help="strictly decreasing targets (default %(default)s)",
+    baseline_p = suites.add_parser(
+        "baseline", help="grid size vs optimizer cost at eps 0.05 and 0.01"
     )
     baseline_p.add_argument("--trials", type=int, default=101)
     _add_common(baseline_p)
     baseline_p.set_defaults(
-        handler=lambda args, seed: _verdict(
-            baseline_separation(epsilons=args.epsilons, trials=args.trials, seed=seed)
-        )
+        handler=lambda args, seed: _verdict(baseline_separation(trials=args.trials, seed=seed))
     )
 
     return parser
@@ -198,8 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
     except (ValueError, OSError) as exc:
-        # A value the library refuses, a seed out of the 64-bit range and an
-        # --out that cannot be written are usage errors.
+        # Usage errors: a refused value or seed, or an --out that cannot be written.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -494,7 +494,7 @@ class TestGridStreams:
         event_c_check(0.5, 4, 5000, 3)
         assert built == pair
         built.clear()
-        _baseline_on((16, 64, 256), epsilons=(0.05, 0.01), trials=5, oob_runs=3, seed=3)
+        _baseline_on((16, 64, 256), trials=5, oob_runs=3, seed=3)
         assert built[:2] == pair
         assert len(built) == 2 + 2 * 3
 
@@ -804,43 +804,47 @@ class TestBaseline:
                 assert short.metadata["median_errors"][n] == long.metadata["median_errors"][n]
 
     def test_fixed_ladder(self, tmp_path):
-        # The ladder is a constant, not an argument: strictly increasing
-        # powers of two within the grid ceiling, reported as it is.
+        # The ladder and the targets are constants, not arguments: strictly
+        # increasing powers of two within the grid ceiling, and strictly
+        # decreasing epsilons that run_oob accepts, each reported as it is.
         ladder = oob.analysis._GRID_SIZES
         assert ladder == tuple(2**k for k in range(4, 15))
         assert all(n & (n - 1) == 0 and 1 <= n <= 1 << MAX_GRID_DEPTH for n in ladder)
         assert all(a < b for a, b in zip(ladder, ladder[1:]))
+        epsilons = oob.analysis._EPSILONS
+        assert epsilons == (0.05, 0.01)
+        assert all(a > b for a, b in zip(epsilons, epsilons[1:]))
+        for epsilon in epsilons:
+            compute_h_max(epsilon)
         target = tmp_path / "baseline.json"
         assert main(["verify", "baseline", "--trials", "5", "--seed", "1", "--out", str(target)]) == 0
-        assert json.loads(target.read_text())["metadata"]["grid_sizes"] == list(ladder)
+        metadata = json.loads(target.read_text())["metadata"]
+        assert metadata["grid_sizes"] == list(ladder)
+        assert metadata["epsilons"] == list(epsilons)
         with pytest.raises(TypeError):
             baseline_separation(grid_sizes=ladder, trials=2, oob_runs=2)
+        with pytest.raises(TypeError):
+            baseline_separation(epsilons=epsilons, trials=2, oob_runs=2)
 
     def test_separation_smoke(self):
         ladder = tuple(2**k for k in range(4, 14))
-        report = _baseline_on(ladder, epsilons=(0.05, 0.01), trials=15, oob_runs=25, seed=3)
+        report = _baseline_on(ladder, trials=15, oob_runs=25, seed=3)
         assert report.passed
         ratios = report.metadata["cost_ratios"]
         assert ratios[0] < ratios[1]
         assert ratios[1] >= 3.0
         meds = report.metadata["median_errors"]
         assert meds["16"] > meds["8192"]  # coarse grids err more
-        again = _baseline_on(ladder, epsilons=(0.05, 0.01), trials=15, oob_runs=25, seed=3)
+        again = _baseline_on(ladder, trials=15, oob_runs=25, seed=3)
         assert report == again
-
-    def test_separation_validation(self):
-        with pytest.raises(ValueError):
-            baseline_separation(epsilons=(0.01, 0.05), trials=2, oob_runs=2)
 
     def test_unreachable_epsilon_refused_before_any_draw(self, monkeypatch):
         def drew(*args):
-            raise AssertionError("drew before refusing the epsilons")
+            raise AssertionError("drew before refusing the counts")
 
         monkeypatch.setattr(oob.analysis, "_grid_blocks", drew)
         monkeypatch.setattr(oob.analysis, "run_oob", drew)
-        with pytest.raises(ValueError, match="too small"):
-            baseline_separation(epsilons=(0.05, 1e-9), trials=2, oob_runs=2)
-        with pytest.raises(ValueError):
-            baseline_separation(epsilons=(), trials=2, oob_runs=2)
-        with pytest.raises(ValueError):
-            baseline_separation(epsilons=(0.05,), trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            baseline_separation(trials=0)
+        with pytest.raises(ValueError, match="oob_runs must be >= 1, got 0"):
+            baseline_separation(oob_runs=0)

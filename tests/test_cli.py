@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -44,7 +46,6 @@ EPSILON_FLAGS = [
     ["run", "--epsilon"],
     ["sweep", "--trials", "2", "--epsilons"],
     ["verify", "pac", "--trials", "2", "--epsilon"],
-    ["verify", "baseline", "--trials", "1", "--epsilons"],
 ]
 # Values the library refuses that the parser passes on: (argv, last item).
 REFUSED = [
@@ -65,7 +66,6 @@ REFUSED_NAMES = {"--seed": "--seed", "--depth": "depth"}
 REFUSED_COUNTS = [
     *((command[:-1], "0", "trials must be >= 1, got 0") for command in COMMANDS[1:]),
     (["sweep", "--trials", "1", "--epsilons"], ",", "epsilons must be non-empty"),
-    (["verify", "baseline", "--trials", "1", "--epsilons"], ",", "epsilons must be non-empty"),
 ]
 
 
@@ -132,9 +132,6 @@ class TestRun:
         (["sweep", "--trials", "2", "--epsilons"], "0.1,1e-9"),
         (["verify", "pac", "--trials", "2", "--epsilon"], "1e-9"),
         (["verify", "pac", "--trials", "2", "--epsilon"], "1e-320"),
-        (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-9"),
-        (["verify", "baseline", "--trials", "1", "--epsilons"], "1e-320"),
-        (["verify", "baseline", "--trials", "1", "--epsilons"], "0.1,1e-9"),
         *(pytest.param(argv, value, id=" ".join([*argv, value])) for argv, value in REFUSED),
     ])
     def test_unreachable_epsilon_exits_2(self, argv, value, tmp_path, capsys, draws):
@@ -265,12 +262,22 @@ class TestVerify:
         assert report["passed"] is True
         assert report["trials"] == 40
 
-    def test_pac_rejects_draws_flag(self, capsys):
-        # pac computes each run's exact failure probability; it takes no draws.
+    # Flags of removed options get argparse's usage error, not a silent default.
+    @pytest.mark.parametrize("argv, removed", [
+        pytest.param(argv, removed, id=" ".join([*argv, *removed])) for argv, removed in [
+            # pac computes each run's exact failure probability; it takes no draws.
+            (["verify", "pac", "--trials", "1"], ["--draws", "5"]),
+            # The oracle depth changed nothing statistically.
+            (["verify", "lemma3", "--depth", "3", "--trials", "5"], ["--oracle-depth", "9"]),
+            # The baseline's targets are fixed: oob.analysis._EPSILONS.
+            (["verify", "baseline", "--trials", "1"], ["--epsilons", "0.05,0.01"]),
+        ]
+    ])
+    def test_removed_flag_exits_2(self, argv, removed, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["verify", "pac", "--draws", "5", "--trials", "1"])
+            main([*argv, *removed])
         assert info.value.code == 2
-        assert "unrecognized arguments: --draws 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}\n" in capsys.readouterr().err
 
     def test_pac_epsilon_below_floor_exits_2(self, capsys):
         # 2e-8 needs depth 59, past MAX_DEPTH = 53; the refusal names the floor.
@@ -291,11 +298,6 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)["passed"] is False
-
-    def test_lemma3_rejects_oracle_depth_flag(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["verify", "lemma3", "--depth", "3", "--oracle-depth", "9", "--trials", "5"])
-        assert info.value.code == 2
 
     def test_lemma3_report_has_no_oracle_depth(self, capsys):
         code, out, _ = run_cli(
@@ -467,6 +469,17 @@ def test_no_module_reads_the_environment():
                 found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in hidden]
     assert len(list(source_dir.glob("*.py"))) >= 6
     assert found == []
+
+
+def test_readme_commands_parse():
+    # Every `oob ...` line in README's sh blocks must still parse, so that a
+    # removed or renamed flag cannot stay documented.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("oob ")]
+    assert len(lines) >= 6
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_process_exit_status_2():
