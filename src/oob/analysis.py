@@ -304,10 +304,8 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     None since the statistic is a mean of small integers, not a rate.
     Requires 0 <= h <= ``MAX_GRID_DEPTH``.
     """
-    if h < 0:
-        raise ValueError(f"grid depth h must be >= 0, got {h}")
-    if h > MAX_GRID_DEPTH:
-        raise ValueError(f"grid depth h must be <= {MAX_GRID_DEPTH}, got {h}")
+    if not 0 <= h <= MAX_GRID_DEPTH:
+        raise ValueError(f"grid depth must lie in [0, {MAX_GRID_DEPTH}], got {h}")
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if trials < 1:
@@ -362,16 +360,13 @@ def event_c_check(
     Only depths h <= check_depth are examined, so the empirical rate is a
     lower bound for the untruncated event; deeper intervals contribute a
     rapidly vanishing tail. This caveat is recorded in the metadata.
-    Requires 1 <= check_depth <= ``MAX_GRID_DEPTH``.
+    Requires 0 <= check_depth <= ``MAX_GRID_DEPTH``; depth 0 checks the
+    root interval [0, 1] only.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1/2, got {epsilon}")
-    if check_depth < 1:
-        raise ValueError(f"grid depth check_depth must be >= 1, got {check_depth}")
-    if check_depth > MAX_GRID_DEPTH:
-        raise ValueError(
-            f"grid depth check_depth must be <= {MAX_GRID_DEPTH}, got {check_depth}"
-        )
+    if not 0 <= check_depth <= MAX_GRID_DEPTH:
+        raise ValueError(f"grid depth must lie in [0, {MAX_GRID_DEPTH}], got {check_depth}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     n = 1 << check_depth
     violations = 0

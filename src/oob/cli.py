@@ -92,15 +92,6 @@ def _epsilon_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _seed(text: str) -> int:
-    # Plain digits are decimal even with a leading zero ("010" is 10); base 0
-    # still reads the 0x, 0o and 0b forms. The range is checked in main.
-    try:
-        return int(text, 10 if text.strip().isdecimal() else 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``oob`` parser, built once per process on first use.
@@ -179,13 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=0)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub.set_defaults(leaf=sub)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported by the subcommand, so its usage line is shown
+        args.leaf.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         text, code = args.handler(args, _check_u64(args.seed, "--seed"))
         if args.out is None:

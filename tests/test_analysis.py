@@ -62,17 +62,6 @@ def grid_depths(monkeypatch):
     return depths
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """Names of the ``RandomSource`` draw methods called, in call order."""
-    names = []
-    for name in ("normal", "normals", "uniform_open", "uniforms_open"):
-        original = getattr(RandomSource, name)
-        monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
-                            names.append(_n) or _f(*a))
-    return names
-
-
 class TestWilson:
     def test_frozen_values(self):
         # Hand-checked: center 1/2, half-width z*sqrt(0.0346.../10)/1.384...
@@ -462,7 +451,9 @@ class TestLemma3:
         # The depth is checked first, so a depth whose bound would also
         # overflow (2000) is refused for its depth.
         for h in (MAX_GRID_DEPTH + 1, 34, 2000):
-            with pytest.raises(ValueError, match=f"grid depth h must be <= {MAX_GRID_DEPTH}"):
+            with pytest.raises(
+                ValueError, match=rf"grid depth must lie in \[0, {MAX_GRID_DEPTH}\], got {h}$"
+            ):
                 lemma3_mc(h, 0.1, trials=1, seed=0)
         assert grid_depths == [MAX_GRID_DEPTH]
 
@@ -743,7 +734,7 @@ class TestEventC:
         with pytest.raises(ValueError):
             event_c_check(0.0, 4, 10, 0)
         with pytest.raises(ValueError):
-            event_c_check(0.5, 0, 10, 0)
+            event_c_check(0.5, -1, 10, 0)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_refuses_trials_below_one(self, trials, draws):
@@ -774,7 +765,7 @@ class TestEventC:
             event_c_check(0.5, MAX_GRID_DEPTH, 1, 0)
         for depth in (MAX_GRID_DEPTH + 1, 34):
             with pytest.raises(
-                ValueError, match=f"grid depth check_depth must be <= {MAX_GRID_DEPTH}"
+                ValueError, match=rf"grid depth must lie in \[0, {MAX_GRID_DEPTH}\], got {depth}$"
             ):
                 event_c_check(0.5, depth, 1, 0)
         assert grid_depths == [MAX_GRID_DEPTH]
@@ -838,7 +829,7 @@ class TestBaseline:
         again = _baseline_on(ladder, trials=15, oob_runs=25, seed=3)
         assert report == again
 
-    def test_unreachable_epsilon_refused_before_any_draw(self, monkeypatch):
+    def test_bad_count_refused_before_any_draw(self, monkeypatch):
         def drew(*args):
             raise AssertionError("drew before refusing the counts")
 

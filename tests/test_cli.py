@@ -15,7 +15,7 @@ import pytest
 
 import oob.analysis
 import oob.cli
-from oob import RandomSource, derive_seed, run_oob
+from oob import derive_seed, event_c_check, run_oob
 from oob.analysis import MAX_GRID_DEPTH
 from oob.cli import _CSV_HEADER as CSV_HEADER
 from oob.cli import _run_sweep as run_sweep
@@ -53,7 +53,7 @@ REFUSED = [
     (["sweep", "--trials", "2", "--epsilons"], ","),
     (["verify", "eventc", "--trials", "2", "--epsilon"], "0.51"),
     *((command[:-1], "0") for command in COMMANDS[1:]),
-    (["verify", "eventc", "--trials", "1", "--depth"], "0"),
+    (["verify", "eventc", "--trials", "1", "--depth"], "-1"),
     (["verify", "lemma3", "--trials", "1", "--depth"], "-1"),
     (["verify", "eventc", "--trials", "1", "--depth"], "21"),
     (["verify", "lemma3", "--trials", "1", "--depth"], "21"),
@@ -67,17 +67,6 @@ REFUSED_COUNTS = [
     *((command[:-1], "0", "trials must be >= 1, got 0") for command in COMMANDS[1:]),
     (["sweep", "--trials", "1", "--epsilons"], ",", "epsilons must be non-empty"),
 ]
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    """Names of the RandomSource draw methods called, in call order."""
-    calls = []
-    for name in ("normal", "normals", "uniform_open", "uniforms_open"):
-        original = getattr(RandomSource, name)
-        monkeypatch.setattr(RandomSource, name, lambda *a, _f=original, _n=name:
-                            calls.append(_n) or _f(*a))
-    return calls
 
 
 class TestRun:
@@ -276,8 +265,11 @@ class TestVerify:
     def test_removed_flag_exits_2(self, argv, removed, capsys):
         with pytest.raises(SystemExit) as info:
             main([*argv, *removed])
+        err = capsys.readouterr().err
         assert info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(removed)}\n" in capsys.readouterr().err
+        # The subcommand's usage line, which lists the flags it does take.
+        assert err.startswith(f"usage: oob {' '.join(argv[:2])} [-h]")
+        assert f"unrecognized arguments: {' '.join(removed)}\n" in err
 
     def test_pac_epsilon_below_floor_exits_2(self, capsys):
         # 2e-8 needs depth 59, past MAX_DEPTH = 53; the refusal names the floor.
@@ -345,9 +337,14 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("oob: error: ")
-        assert f"<= {MAX_GRID_DEPTH}, got {depth}" in err
+        assert err == f"oob: error: grid depth must lie in [0, {MAX_GRID_DEPTH}], got {depth}\n"
         assert not target.exists()
+
+    def test_eventc_at_depth_zero(self, capsys):
+        # Depth 0 checks the root interval [0, 1] only, as lemma3 takes depth 0.
+        code, out, _ = run_cli(["verify", "eventc", "--depth", "0", "--trials", "200"], capsys)
+        assert code == 0
+        assert json.loads(out) == event_c_check(0.5, 0, 200, 0).to_json_dict()
 
     def test_eventc_allows_epsilon_half(self, capsys):
         code, out, _ = run_cli(
@@ -436,23 +433,26 @@ class TestSeedResolution:
         _, out, _ = run_cli(["run", "--epsilon", "0.2"], capsys)
         assert json.loads(out)["seed"] == 0
 
-    @pytest.mark.parametrize("text,value", [("010", 10), ("0x10", 16)])
+    @pytest.mark.parametrize("text,value", [
+        ("010", 10), ("1_000", 1000), ("+5", 5), pytest.param(" 7 ", 7, id="spaced-7"),
+    ])
     def test_seed_forms(self, text, value, capsys):
-        # Plain digits are decimal even with a leading zero; 0x still reads hex.
+        # The seed is read by int(): decimal, also with a leading zero.
         _, from_text, _ = run_cli(["run", "--epsilon", "0.2", "--seed", text], capsys)
         _, from_value, _ = run_cli(["run", "--epsilon", "0.2", "--seed", str(value)], capsys)
         assert json.loads(from_text)["seed"] == value
         assert from_text == from_value
 
     def test_bad_seed_flag_exits_2(self, capsys):
-        # Text that is not an integer gets argparse's usage message, like
-        # every other flag.
-        with pytest.raises(SystemExit) as exited:
-            main(["run", "--epsilon", "0.2", "--seed", "bad"])
-        err = capsys.readouterr().err
-        assert exited.value.code == 2
-        assert err.startswith("usage: oob run")
-        assert "argument --seed: not an integer: 'bad'" in err
+        # Text that is not a decimal integer, a based literal included, gets
+        # argparse's usage message, like every other flag.
+        for text in ("bad", "0x10"):
+            with pytest.raises(SystemExit) as exited:
+                main(["run", "--epsilon", "0.2", "--seed", text])
+            err = capsys.readouterr().err
+            assert exited.value.code == 2
+            assert err.startswith("usage: oob run")
+            assert f"argument --seed: invalid int value: '{text}'" in err
 
 
 def test_no_module_reads_the_environment():
@@ -499,3 +499,8 @@ def test_process_exit_status_2():
     assert garbled.returncode == 2
     assert garbled.stderr.startswith("usage: oob run")
     assert "argument --epsilon: invalid float value: 'abc'" in garbled.stderr
+    based = oob("run", "--epsilon", "0.1", "--seed", "0x10")
+    assert based.returncode == 2
+    assert based.stdout == ""
+    assert based.stderr.startswith("usage: oob run")
+    assert "argument --seed: invalid int value: '0x10'" in based.stderr
