@@ -10,9 +10,8 @@ exact sample of M. No discretization bias enters anywhere.
 Every harness returns a :class:`VerificationReport` with its counts, the
 theoretical bound, a Wilson confidence limit where a rate is being tested,
 and a pass verdict. Run j of pac, seeded with s, uses the child seed
-``derive_seed(s, j)``. The grid suites (lemma3, eventc, baseline) draw
-their trials through :func:`_grid_blocks` from two streams per call, see
-:func:`_grid_streams`.
+``derive_seed(s, j)``. Each call of a grid suite (lemma3, eventc,
+baseline) draws its trials in one :func:`_grid_blocks` walk.
 """
 
 from __future__ import annotations
@@ -212,20 +211,17 @@ def _draw_worker():
     return _worker[1]
 
 
-def _grid_blocks(
-    gaussians: RandomSource, uniforms: RandomSource, trials: int, depth: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _grid_blocks(seed: int, trials: int, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """W on the depth-``depth`` dyadic grid plus one exact sup draw per cell.
 
     Yields ``(w, sups)`` for consecutive blocks of ``trials`` trials, in
-    trial order. Trial j is row j: with n = 2**depth, it takes Gaussians
-    ``[j*n, (j+1)*n)`` of ``gaussians`` and the uniforms at the same
-    indices of ``uniforms``, counted from where each stream stands. A
-    block draws its Gaussians in one call and its uniforms in one
-    ``uniforms_open`` call, which equal the same draws taken row by row,
-    so neither the rows per block nor ``trials`` changes a trial's draws.
-    Once the blocks are exhausted, each stream has advanced by exactly
-    ``trials * n`` draws. ``w`` has shape ``(rows, n + 1)`` with
+    trial order, drawn from the two streams of ``_grid_streams(seed)``.
+    Trial j is row j: with n = 2**depth, it takes Gaussians ``[j*n,
+    (j+1)*n)`` of the Gaussian stream and the uniforms at the same indices
+    of the uniform stream. A block draws its Gaussians in one call and its
+    uniforms in one ``uniforms_open`` call, which equal the same draws
+    taken row by row, so neither the rows per block nor ``trials`` changes
+    a trial's draws. ``w`` has shape ``(rows, n + 1)`` with
     ``w[:, 0] = 0`` and the in-order sums of the Gaussians scaled by
     ``sqrt(2**-depth)`` after the sum; ``sups`` has shape ``(rows, n)``,
     cell k's sup drawn from the bridge pinned at ``w[:, k]`` and
@@ -252,10 +248,10 @@ def _grid_blocks(
     block), then the inversion's scratch. Each yielded pair is a view into
     them, valid until the consumer asks for the next block, so a consumer
     reduces a block before it advances. Closed or dropped early, the
-    generator first waits for the draw in flight: the Gaussian stream then
-    stands one block past the last block yielded, and no thread writes to
-    it any more.
+    generator first waits for the draw in flight, and no thread writes to
+    its buffers or streams any more.
     """
+    gaussians, uniforms = _grid_streams(seed)
     n = 1 << depth
     length = math.ldexp(1.0, -depth)
     block = max(1, min(trials, _BLOCK_CELLS >> depth))
@@ -316,7 +312,7 @@ def lemma3_mc(h: int, eta: float, trials: int, seed: int) -> VerificationReport:
     counts = np.concatenate(
         [
             np.count_nonzero(w >= sups.max(axis=1)[:, None] - eta, axis=1)
-            for w, sups in _grid_blocks(*_grid_streams(seed), trials, h)
+            for w, sups in _grid_blocks(seed, trials, h)
         ]
     )
     mean = float(counts.mean())
@@ -367,10 +363,12 @@ def event_c_check(
         raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1/2, got {epsilon}")
     if not 0 <= check_depth <= MAX_GRID_DEPTH:
         raise ValueError(f"grid depth must lie in [0, {MAX_GRID_DEPTH}], got {check_depth}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [eta(epsilon, math.ldexp(1.0, -h)) for h in range(check_depth + 1)]
     n = 1 << check_depth
     violations = 0
-    for w, sups in _grid_blocks(*_grid_streams(seed), trials, check_depth):
+    for w, sups in _grid_blocks(seed, trials, check_depth):
         bad = np.zeros(len(w), dtype=bool)
         level = sups
         for h in range(check_depth, -1, -1):
@@ -396,14 +394,13 @@ def baseline_separation(
 ) -> VerificationReport:
     """Compare grid sizes needed for target error against optimizer cost.
 
-    For each grid size n in ``_GRID_SIZES``, the median conditional error
-    M - m_hat is measured over ``trials`` fresh paths, m_hat being the
-    best grid value (t = 0 included) and M the max of the exact cell sups:
-    each trial is a row of :func:`_grid_blocks` at depth log2(n). The
-    levels draw in turn, in increasing grid size, from one pair of grid
-    streams seeded ``seed``, so appending a larger size leaves every
-    earlier level's draws unchanged. For each target epsilon in
-    ``_EPSILONS``, in decreasing order, the smallest grid size whose
+    Each of ``trials`` trials is one row of :func:`_grid_blocks` at the
+    finest size's depth, log2(``_GRID_SIZES[-1]``), and M is the max of
+    its exact cell sups. Grid size n reads every (2**depth / n)-th point
+    of that walk, t = 0 and t = 1 included; its error is M - m_hat, m_hat
+    being the best value it reads. So a trial's error never rises along
+    the ladder, nor does any size's median error. For each target epsilon
+    in ``_EPSILONS``, in decreasing order, the smallest grid size whose
     median error is <= epsilon is divided by the optimizer's mean
     evaluation count at that epsilon. The suite passes when every target
     is reachable, the cost ratio strictly grows as epsilon shrinks, and
@@ -415,12 +412,13 @@ def baseline_separation(
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
-    streams = _grid_streams(seed)
-    medians = {}
-    for n in _GRID_SIZES:
-        blocks = _grid_blocks(*streams, trials, n.bit_length() - 1)
-        errors = [sups.max(axis=1) - w.max(axis=1) for w, sups in blocks]
-        medians[n] = median(np.concatenate(errors).tolist())
+    depth = _GRID_SIZES[-1].bit_length() - 1
+    errors = {n: [] for n in _GRID_SIZES}
+    for w, sups in _grid_blocks(seed, trials, depth):
+        top = sups.max(axis=1)
+        for n, rows in errors.items():
+            rows.append(top - w[:, :: (1 << depth) // n].max(axis=1))
+    medians = {n: median(np.concatenate(rows).tolist()) for n, rows in errors.items()}
 
     ratios: list[float | None] = []
     mean_evals = []
@@ -438,8 +436,7 @@ def baseline_separation(
         ratios.append(ratio)
         failed = ratio is None
         if not failed and level > 0:
-            previous = ratios[level - 1]
-            failed = previous is None or ratio <= previous
+            failed = ratio <= ratios[level - 1]
         if not failed and level == len(_EPSILONS) - 1:
             failed = ratio < _MIN_FACTOR
         violations += failed

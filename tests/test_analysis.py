@@ -54,12 +54,26 @@ def grid_depths(monkeypatch):
     """Depths the grid suites ask ``_grid_blocks`` for; no grid is drawn."""
     depths = []
 
-    def refuse(gaussians, uniforms, trials, depth):
+    def refuse(seed, trials, depth):
         depths.append(depth)
         raise _GridReached
 
     monkeypatch.setattr(oob.analysis, "_grid_blocks", refuse)
     return depths
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """``(seed, trials, depth)`` of each ``_grid_blocks`` call; the grids are drawn."""
+    calls = []
+    blocks = oob.analysis._grid_blocks
+
+    def record(seed, trials, depth):
+        calls.append((seed, trials, depth))
+        return blocks(seed, trials, depth)
+
+    monkeypatch.setattr(oob.analysis, "_grid_blocks", record)
+    return calls
 
 
 class TestWilson:
@@ -489,6 +503,13 @@ class TestGridStreams:
         assert built[:2] == pair
         assert len(built) == 2 + 2 * 3
 
+    def test_one_walk_per_call(self, grid_calls):
+        # The baseline reads every grid size from one walk at the finest size's depth.
+        lemma3_mc(5, 0.1, 7, 2)
+        event_c_check(0.5, 6, 9, 4)
+        baseline_separation(trials=2, oob_runs=1, seed=3)
+        assert grid_calls == [(2, 7, 5), (4, 9, 6), (3, 2, 14)]
+
 
 class TestGridWorkspace:
     # Each call runs every block in one workspace; neither the rows per
@@ -533,19 +554,27 @@ def _report_from_fork(conn) -> None:
     conn.close()
 
 
-def _hooked_streams(seed: int, before) -> tuple[RandomSource, RandomSource]:
-    """``_grid_streams(seed)`` whose Gaussian draws call ``before()`` first,
-    on whichever thread draws them."""
-    gaussians, uniforms = _grid_streams(seed)
-    gen = gaussians._gen
+def _hook_gaussians(monkeypatch, before) -> list[tuple[RandomSource, RandomSource]]:
+    """Make each grid walk's Gaussian draws call ``before()`` first, on
+    whichever thread draws them; returns the stream pairs the walks make."""
+    made = []
+    streams = oob.analysis._grid_streams
 
-    class Hooked:
-        def standard_normal(self, shape, out=None):
-            before()
-            return gen.standard_normal(shape, out=out)
+    def hooked(seed):
+        gaussians, uniforms = streams(seed)
+        gen = gaussians._gen
 
-    gaussians._gen = Hooked()
-    return gaussians, uniforms
+        class Hooked:
+            def standard_normal(self, shape, out=None):
+                before()
+                return gen.standard_normal(shape, out=out)
+
+        gaussians._gen = Hooked()
+        made.append((gaussians, uniforms))
+        return gaussians, uniforms
+
+    monkeypatch.setattr(oob.analysis, "_grid_streams", hooked)
+    return made
 
 
 def _off_main_thread() -> bool:
@@ -561,7 +590,7 @@ class TestDrawAhead:
         assert trials > 2 * block and trials % block  # three blocks or more, the last short
         reference = _trial_grid(*_grid_streams(5), trials, depth)
         rows = 0
-        for w, sups in oob.analysis._grid_blocks(*_grid_streams(5), trials, depth):
+        for w, sups in oob.analysis._grid_blocks(5, trials, depth):
             for w_row, sups_row in zip(w, sups):
                 w_ref, sups_ref = next(reference)
                 assert w_row.tobytes() == w_ref.tobytes()
@@ -569,26 +598,27 @@ class TestDrawAhead:
             rows += len(w)
         assert rows == trials
 
-    def test_close_waits_for_the_block_ahead(self):
+    def test_close_waits_for_the_block_ahead(self, monkeypatch):
         # Closed after its first block, the walk has drawn the second
         # block's Gaussians too, a slow draw here, and nothing draws from
-        # the stream once close returns.
-        gaussians, uniforms = _hooked_streams(8, lambda: _off_main_thread() and time.sleep(0.2))
-        blocks = oob.analysis._grid_blocks(gaussians, uniforms, 100, 10)
+        # the streams once close returns.
+        made = _hook_gaussians(monkeypatch, lambda: _off_main_thread() and time.sleep(0.2))
+        blocks = oob.analysis._grid_blocks(8, 100, 10)
         next(blocks)
         blocks.close()
+        [(gaussians, uniforms)] = made
         fresh, fresh_uniforms = _grid_streams(8)
         fresh.normals((2 * 32, 1 << 10))
         fresh_uniforms.uniforms_open((32, 1 << 10))
         assert gaussians.normals(64).tobytes() == fresh.normals(64).tobytes()
         assert uniforms.uniforms_open(64).tobytes() == fresh_uniforms.uniforms_open(64).tobytes()
 
-    def test_one_worker_draws_every_later_block(self):
+    def test_one_worker_draws_every_later_block(self, monkeypatch):
         threads = []
+        _hook_gaussians(monkeypatch, lambda: threads.append(threading.get_ident()))
 
         def blocks(trials):
-            streams = _hooked_streams(2, lambda: threads.append(threading.get_ident()))
-            return [len(w) for w, _ in oob.analysis._grid_blocks(*streams, trials, 10)]
+            return [len(w) for w, _ in oob.analysis._grid_blocks(2, trials, 10)]
 
         assert blocks(32) == [32]
         assert threads == [threading.get_ident()]
@@ -612,12 +642,13 @@ class TestDrawAhead:
         event_c_check(0.5, 10, 100, 4)
         assert threads == {threading.get_ident()}
 
-    def test_worker_error_reaches_the_caller(self):
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
         def fail_off_main_thread():
             if _off_main_thread():
                 raise FloatingPointError("worker draw failed")
 
-        blocks = oob.analysis._grid_blocks(*_hooked_streams(2, fail_off_main_thread), 64, 10)
+        _hook_gaussians(monkeypatch, fail_off_main_thread)
+        blocks = oob.analysis._grid_blocks(2, 64, 10)
         next(blocks)
         with pytest.raises(FloatingPointError, match="worker draw failed"):
             next(blocks)
@@ -737,12 +768,15 @@ class TestEventC:
             event_c_check(0.5, -1, 10, 0)
 
     @pytest.mark.parametrize("trials", [0, -3])
-    def test_refuses_trials_below_one(self, trials, draws):
-        # The Wilson interval is the one place that refuses it; no block is drawn.
+    def test_refuses_trials_below_one(self, trials, draws, monkeypatch):
+        # Refused up front, as lemma3 and the baseline refuse it: no source
+        # is built and no block is drawn.
+        built = []
+        monkeypatch.setattr(RandomSource, "__init__", lambda self, seed: built.append(seed))
         with pytest.raises(ValueError) as refused:
             event_c_check(0.5, 4, trials, 0)
         assert str(refused.value) == f"trials must be >= 1, got {trials}"
-        assert draws == []
+        assert built == draws == []
 
     @pytest.mark.parametrize("epsilon", [0.5, 0.1, 0.01, 0.001, 1e-6])
     def test_union_bound_below_epsilon_fifth(self, epsilon):
@@ -774,25 +808,27 @@ class TestEventC:
 class TestBaseline:
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_oracle_matches_scalar_reference(self, seed):
-        # Exact, trial by trial: the levels draw their grid trials in turn,
-        # in increasing size, from one pair of grid streams. Trial counts
-        # 4..8 give even and odd medians; at 8192 points a block holds 4
-        # trials.
+        # Exact, trial by trial: every size reads its points by stride from
+        # one walk at the finest size's depth. Trial counts 4..8 give even
+        # and odd medians; at 8192 points a block holds 4 trials.
         grid_sizes, trials = (1, 16, 256, 8192), 4 + seed
         report = _baseline_on(grid_sizes, trials=trials, oob_runs=1, seed=seed)
-        streams = _grid_streams(seed)
+        grids = list(_trial_grid(*_grid_streams(seed), trials, 13))
         for n in grid_sizes:
-            grids = _trial_grid(*streams, trials, n.bit_length() - 1)
-            errors = [sups.max() - w.max() for w, sups in grids]
+            errors = [sups.max() - w[:: 8192 // n].max() for w, sups in grids]
             assert report.metadata["median_errors"][str(n)] == float(median(errors))
 
-    def test_added_level_keeps_earlier_levels(self):
-        # Appending sizes to the ladder must not move the earlier levels.
-        short = _baseline_on((16, 64), trials=7, oob_runs=1, seed=3)
-        for ladder in ((16, 64, 256), (16, 64, 256, 1024)):
-            long = _baseline_on(ladder, trials=7, oob_runs=1, seed=3)
-            for n in ("16", "64"):
-                assert short.metadata["median_errors"][n] == long.metadata["median_errors"][n]
+    def test_errors_never_rise_along_the_ladder(self):
+        # A finer grid holds every point of a coarser one, so each trial's
+        # error, and with it each size's median error, can only fall.
+        ladder = oob.analysis._GRID_SIZES
+        for seed in range(30):
+            report = baseline_separation(trials=15, oob_runs=1, seed=seed)
+            medians = [report.metadata["median_errors"][str(n)] for n in ladder]
+            assert all(a >= b for a, b in zip(medians, medians[1:])), seed
+            for w, sups in _trial_grid(*_grid_streams(seed), 15, 14):
+                errors = [sups.max() - w[:: ladder[-1] // n].max() for n in ladder]
+                assert all(a >= b for a, b in zip(errors, errors[1:])), seed
 
     def test_fixed_ladder(self, tmp_path):
         # The ladder and the targets are constants, not arguments: strictly

@@ -61,13 +61,13 @@ CLI_GOLDEN = [
     ),
     pytest.param(
         ["verify", "baseline", "--trials", "5", "--seed", "1"],
-        "fa4b55e6760765f6cf3f549cb26b4914eece916c00a6f7dea12b9ba0c02ae1e8",
+        "4e6fed57afbbd62ec589a9255a1b6396d2f93939c830f9adb518751e8fe60364",
         id="verify-baseline",
     ),
 ]
 
 
-BASELINE_GOLDEN = "f639d8591e2cc34e5a3102a310c1777eb2f15ca686f1bd03deb6492dc61da5c9"
+BASELINE_GOLDEN = "bd179a85ecd41ec8e240d3962bb13dc6ac1d0015a397eb124f9f787989447a2b"
 
 
 def _sha256(data: bytes) -> str:
@@ -99,7 +99,8 @@ def test_cli_output_bytes(argv, digest, tmp_path):
 
 
 def test_baseline_separation_json():
-    # The grids are dyadic grid trials, the walk lemma3 and eventc share;
+    # Each trial is one dyadic grid walk, the walk lemma3 and eventc share,
+    # read by stride at every grid size;
     # test_analysis.py::TestBaseline::test_batched_oracle_matches_scalar_reference
     # pins them to a per-trial reference.
     assert _baseline_digest() == BASELINE_GOLDEN
